@@ -14,14 +14,15 @@ fn bench_gcn(c: &mut Criterion) {
     let mut rng = SplitMix64::new(2);
     let zu: Embedding = Embedding::normal(ds.n_users(), dim, 0.1, &mut rng);
     let zv: Embedding = Embedding::normal(ds.n_items(), dim, 0.1, &mut rng);
+    let prop = graph::PropGraph::build(&ds.train);
 
     let mut group = c.benchmark_group("gcn_propagate");
     for layers in [1usize, 2, 3, 4] {
         group.bench_with_input(BenchmarkId::new("forward", layers), &layers, |b, &l| {
-            b.iter(|| graph::propagate_forward(black_box(&ds.train), &zu, &zv, l))
+            b.iter(|| graph::propagate_forward_graph(black_box(&prop), &zu, &zv, l, 1))
         });
         group.bench_with_input(BenchmarkId::new("backward", layers), &layers, |b, &l| {
-            b.iter(|| graph::propagate_backward(black_box(&ds.train), &zu, &zv, l))
+            b.iter(|| graph::propagate_backward_graph(black_box(&prop), &zu, &zv, l, 1))
         });
     }
     group.finish();

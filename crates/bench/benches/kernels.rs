@@ -105,13 +105,15 @@ fn bench_propagate(c: &mut Criterion) {
     let zv: Embedding = Embedding::normal(ds.n_items(), DIM, 0.1, &mut rng);
     let zu32 = zu.cast::<f32>();
     let zv32 = zv.cast::<f32>();
+    let prop = graph::PropGraph::build(&ds.train);
+    let prop32 = graph::PropGraph::<f32>::build(&ds.train);
 
     let mut group = c.benchmark_group("propagate_forward");
     group.bench_function("f64", |b| {
-        b.iter(|| graph::propagate_forward(black_box(&ds.train), &zu, &zv, 2))
+        b.iter(|| graph::propagate_forward_graph(black_box(&prop), &zu, &zv, 2, 1))
     });
     group.bench_function("f32", |b| {
-        b.iter(|| graph::propagate_forward(black_box(&ds.train), &zu32, &zv32, 2))
+        b.iter(|| graph::propagate_forward_graph(black_box(&prop32), &zu32, &zv32, 2, 1))
     });
     group.finish();
 }

@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use logirec_core::losses::{
     exclusion_loss_grad, hierarchy_loss_grad, membership_loss_grad, rank_loss_grad, LogicGrads,
 };
+use logirec_core::graph::PropGraph;
 use logirec_core::{LogiRec, LogiRecConfig};
 use logirec_data::{DatasetSpec, NegativeSampler, Scale};
 use logirec_linalg::SplitMix64;
@@ -55,7 +56,8 @@ fn bench_losses(c: &mut Criterion) {
     });
     c.bench_function("full_backward_rank", |b| {
         let rg = rank_loss_grad(&model, &triplets, 0.1, None, 1.0 / 256.0);
-        b.iter(|| model.backward_rank(black_box(&rg.user_final), &rg.item_final, &ds.train))
+        let prop = PropGraph::build(&ds.train);
+        b.iter(|| model.backward_rank_graph(black_box(&rg.user_final), &rg.item_final, &prop))
     });
 }
 

@@ -7,7 +7,7 @@
 //! `z^final  = Σ_{l=1}^{L} z^l`
 //!
 //! Because the map is linear, backpropagation only needs the transposed
-//! adjacency — no stored activations. [`propagate_backward`] implements the
+//! adjacency — no stored activations. [`propagate_backward_graph`] implements the
 //! reverse recurrence `G_l = g_l + Mᵀ G_{l+1}`, where `M = I + A` is the
 //! joint propagation matrix and `g_l` is the direct contribution of layer
 //! `l` to the final sum (`g_final` for `1 ≤ l ≤ L`, zero for `l = 0`).
@@ -25,9 +25,8 @@ use crate::parallel::for_each_row;
 /// heap pointer per row and recomputes `1.0 / len` per edge visit — every
 /// batch, for every layer, in both passes. A `PropGraph` is built **once
 /// per dataset** (the trainer builds it before the epoch loop) and reused
-/// by every propagate/backward call. The arithmetic is unchanged: the same
-/// neighbor order and the same `1/deg` values, so results are bit-identical
-/// to the uncached path.
+/// by every propagate/backward call, always in the same neighbor order, so
+/// results are bit-identical at any thread count.
 #[derive(Debug, Clone)]
 pub struct PropGraph<S: Scalar = f64> {
     n_users: usize,
@@ -104,36 +103,10 @@ impl<S: Scalar> PropGraph<S> {
     }
 }
 
-/// Forward propagation: returns the final tangent embeddings
-/// `(user_final, item_final)`; with `layers == 0` these are copies of the
-/// inputs (the "w/o HGCN" variant).
-pub fn propagate_forward<S: Scalar>(
-    adj: &InteractionSet,
-    z_u0: &Embedding<S>,
-    z_v0: &Embedding<S>,
-    layers: usize,
-) -> (Embedding<S>, Embedding<S>) {
-    propagate_forward_par(adj, z_u0, z_v0, layers, 1)
-}
-
-/// [`propagate_forward`] with row-parallel aggregation across `threads`
-/// scoped threads (identical output; used at `paper` scale). Builds a
-/// throwaway [`PropGraph`]; hot loops should build one and call
-/// [`propagate_forward_graph`].
-pub fn propagate_forward_par<S: Scalar>(
-    adj: &InteractionSet,
-    z_u0: &Embedding<S>,
-    z_v0: &Embedding<S>,
-    layers: usize,
-    threads: usize,
-) -> (Embedding<S>, Embedding<S>) {
-    if layers == 0 {
-        return (z_u0.clone(), z_v0.clone());
-    }
-    propagate_forward_graph(&PropGraph::build(adj), z_u0, z_v0, layers, threads)
-}
-
-/// Forward propagation against a cached [`PropGraph`].
+/// Forward propagation against a cached [`PropGraph`]: returns the final
+/// tangent embeddings `(user_final, item_final)`; with `layers == 0` these
+/// are copies of the inputs (the "w/o HGCN" variant). Row aggregation fans
+/// out across `threads` scoped threads with identical output.
 pub fn propagate_forward_graph<S: Scalar>(
     adj: &PropGraph<S>,
     z_u0: &Embedding<S>,
@@ -161,34 +134,9 @@ pub fn propagate_forward_graph<S: Scalar>(
     (acc_u, acc_v)
 }
 
-/// Backward pass: given gradients w.r.t. the final tangent embeddings,
-/// returns gradients w.r.t. the layer-0 embeddings.
-pub fn propagate_backward<S: Scalar>(
-    adj: &InteractionSet,
-    g_fu: &Embedding<S>,
-    g_fv: &Embedding<S>,
-    layers: usize,
-) -> (Embedding<S>, Embedding<S>) {
-    propagate_backward_par(adj, g_fu, g_fv, layers, 1)
-}
-
-/// [`propagate_backward`] with row-parallel aggregation (exact adjoint of
-/// [`propagate_forward_par`]). Builds a throwaway [`PropGraph`]; hot loops
-/// should build one and call [`propagate_backward_graph`].
-pub fn propagate_backward_par<S: Scalar>(
-    adj: &InteractionSet,
-    g_fu: &Embedding<S>,
-    g_fv: &Embedding<S>,
-    layers: usize,
-    threads: usize,
-) -> (Embedding<S>, Embedding<S>) {
-    if layers == 0 {
-        return (g_fu.clone(), g_fv.clone());
-    }
-    propagate_backward_graph(&PropGraph::build(adj), g_fu, g_fv, layers, threads)
-}
-
-/// Backward propagation against a cached [`PropGraph`].
+/// Backward pass against a cached [`PropGraph`], the exact adjoint of
+/// [`propagate_forward_graph`]: given gradients w.r.t. the final tangent
+/// embeddings, returns gradients w.r.t. the layer-0 embeddings.
 pub fn propagate_backward_graph<S: Scalar>(
     adj: &PropGraph<S>,
     g_fu: &Embedding<S>,
@@ -277,9 +225,10 @@ mod tests {
     use super::*;
     use logirec_linalg::SplitMix64;
 
-    fn toy_adj() -> InteractionSet {
+    fn toy_adj() -> PropGraph {
         // 3 users, 4 items.
-        InteractionSet::from_pairs(3, 4, &[(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)])
+        let pairs = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)];
+        PropGraph::build(&InteractionSet::from_pairs(3, 4, &pairs))
     }
 
     #[test]
@@ -288,7 +237,7 @@ mod tests {
         let mut rng = SplitMix64::new(1);
         let zu: Embedding = Embedding::normal(3, 4, 1.0, &mut rng);
         let zv: Embedding = Embedding::normal(4, 4, 1.0, &mut rng);
-        let (fu, fv) = propagate_forward(&adj, &zu, &zv, 0);
+        let (fu, fv) = propagate_forward_graph(&adj, &zu, &zv, 0, 1);
         assert_eq!(fu, zu);
         assert_eq!(fv, zv);
     }
@@ -304,7 +253,7 @@ mod tests {
         for v in 0..4 {
             zv.row_mut(v)[0] = 10.0 * (v + 1) as f64; // 10, 20, 30, 40
         }
-        let (fu, fv) = propagate_forward(&adj, &zu, &zv, 1);
+        let (fu, fv) = propagate_forward_graph(&adj, &zu, &zv, 1, 1);
         // user 0: 1 + (10+20)/2 = 16; user 1: 2 + (20+30)/2 = 27;
         // user 2: 3 + 40 = 43.
         assert_eq!(fu.row(0)[0], 16.0);
@@ -320,12 +269,12 @@ mod tests {
 
     #[test]
     fn isolated_nodes_pass_through() {
-        let adj = InteractionSet::from_pairs(2, 2, &[(0, 0)]);
+        let adj = PropGraph::build(&InteractionSet::from_pairs(2, 2, &[(0, 0)]));
         let mut zu: Embedding = Embedding::zeros(2, 1);
         zu.row_mut(1)[0] = 5.0;
         let mut zv: Embedding = Embedding::zeros(2, 1);
         zv.row_mut(1)[0] = 7.0;
-        let (fu, fv) = propagate_forward(&adj, &zu, &zv, 2);
+        let (fu, fv) = propagate_forward_graph(&adj, &zu, &zv, 2, 1);
         // Isolated user 1 / item 1 only self-accumulate: Σ_{l=1,2} z = 2z.
         assert_eq!(fu.row(1)[0], 10.0);
         assert_eq!(fv.row(1)[0], 14.0);
@@ -343,8 +292,8 @@ mod tests {
             let zv = Embedding::normal(4, 5, 1.0, &mut rng);
             let gu = Embedding::normal(3, 5, 1.0, &mut rng);
             let gv = Embedding::normal(4, 5, 1.0, &mut rng);
-            let (fu, fv) = propagate_forward(&adj, &zu, &zv, layers);
-            let (bu, bv) = propagate_backward(&adj, &gu, &gv, layers);
+            let (fu, fv) = propagate_forward_graph(&adj, &zu, &zv, layers, 1);
+            let (bu, bv) = propagate_backward_graph(&adj, &gu, &gv, layers, 1);
             let lhs = ops::dot(fu.as_slice(), gu.as_slice())
                 + ops::dot(fv.as_slice(), gv.as_slice());
             let rhs = ops::dot(zu.as_slice(), bu.as_slice())
@@ -368,10 +317,10 @@ mod tests {
         let wu = Embedding::normal(3, 2, 1.0, &mut rng);
         let wv = Embedding::normal(4, 2, 1.0, &mut rng);
         let f = |zu: &Embedding, zv: &Embedding| {
-            let (fu, fv) = propagate_forward(&adj, zu, zv, layers);
+            let (fu, fv) = propagate_forward_graph(&adj, zu, zv, layers, 1);
             ops::dot(fu.as_slice(), wu.as_slice()) + ops::dot(fv.as_slice(), wv.as_slice())
         };
-        let (bu, bv) = propagate_backward(&adj, &wu, &wv, layers);
+        let (bu, bv) = propagate_backward_graph(&adj, &wu, &wv, layers, 1);
         let h = 1e-6;
         // Probe a few coordinates of both tables.
         for (row, col) in [(0usize, 0usize), (1, 1), (2, 0)] {
@@ -400,16 +349,16 @@ mod tests {
         // A bigger random bipartite graph.
         let pairs: Vec<(usize, usize)> =
             (0..2000).map(|_| (rng.index(50), rng.index(80))).collect();
-        let adj = InteractionSet::from_pairs(50, 80, &pairs);
+        let adj = PropGraph::build(&InteractionSet::from_pairs(50, 80, &pairs));
         let zu: Embedding = Embedding::normal(50, 8, 1.0, &mut rng);
         let zv = Embedding::normal(80, 8, 1.0, &mut rng);
         for layers in [1usize, 3] {
-            let (a_u, a_v) = propagate_forward(&adj, &zu, &zv, layers);
-            let (b_u, b_v) = propagate_forward_par(&adj, &zu, &zv, layers, 6);
+            let (a_u, a_v) = propagate_forward_graph(&adj, &zu, &zv, layers, 1);
+            let (b_u, b_v) = propagate_forward_graph(&adj, &zu, &zv, layers, 6);
             assert_eq!(a_u, b_u);
             assert_eq!(a_v, b_v);
-            let (c_u, c_v) = propagate_backward(&adj, &zu, &zv, layers);
-            let (d_u, d_v) = propagate_backward_par(&adj, &zu, &zv, layers, 6);
+            let (c_u, c_v) = propagate_backward_graph(&adj, &zu, &zv, layers, 1);
+            let (d_u, d_v) = propagate_backward_graph(&adj, &zu, &zv, layers, 6);
             assert_eq!(c_u, d_u);
             assert_eq!(c_v, d_v);
         }
@@ -425,7 +374,7 @@ mod tests {
         zu.row_mut(1)[0] = -1.0;
         zu.row_mut(2)[0] = 1.0;
         let zv: Embedding = Embedding::zeros(4, 1);
-        let (fu, _) = propagate_forward(&adj, &zu, &zv, 2);
+        let (fu, _) = propagate_forward_graph(&adj, &zu, &zv, 2, 1);
         // After propagation through the shared item, user 0 picks up some
         // of user 1's negative mass.
         assert!(fu.row(0)[0] < 3.0 * 1.0, "shared structure must mix signals");

@@ -552,7 +552,8 @@ pub fn logic_loss_grad_sharded<S: Scalar>(
     crate::shard::merge_tree(shards).unwrap_or_else(|| LogicShard::new(model))
 }
 
-fn carrier_distance<S: Scalar>(geometry: Geometry, x: &[S], y: &[S]) -> S {
+/// Carrier-space distance matching the ranking head.
+pub(crate) fn carrier_distance<S: Scalar>(geometry: Geometry, x: &[S], y: &[S]) -> S {
     match geometry {
         Geometry::Hyperbolic => lorentz::distance(x, y),
         Geometry::Euclidean => ops::dist(x, y),

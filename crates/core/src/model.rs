@@ -252,17 +252,7 @@ impl<S: Scalar> LogiRec<S> {
     /// Backward pass of the ranking head: takes dense ambient gradients
     /// w.r.t. the **final** user/item embeddings and returns gradients
     /// w.r.t. the user parameters (ambient) and item parameters (Poincaré /
-    /// Euclidean `d`-dim).
-    pub fn backward_rank(
-        &self,
-        g_user_final: &Embedding<S>,
-        g_item_final: &Embedding<S>,
-        adj: &InteractionSet,
-    ) -> (Embedding<S>, Embedding<S>) {
-        self.backward_rank_graph(g_user_final, g_item_final, &PropGraph::build(adj))
-    }
-
-    /// [`Self::backward_rank`] against a pre-built propagation cache.
+    /// Euclidean `d`-dim), against a pre-built propagation cache.
     pub fn backward_rank_graph(
         &self,
         g_user_final: &Embedding<S>,
@@ -343,16 +333,6 @@ impl<S: Scalar> LogiRec<S> {
         let row = match self.cfg.geometry {
             Geometry::Hyperbolic => maps::lorentz_to_poincare(st.item_final.row(v)),
             Geometry::Euclidean => st.item_final.row(v).to_vec(),
-        };
-        row.iter().map(|x| x.to_f64()).collect()
-    }
-
-    /// Final user embedding projected to Poincaré coordinates.
-    pub fn user_poincare(&self, u: usize) -> Vec<f64> {
-        let st = self.state();
-        let row = match self.cfg.geometry {
-            Geometry::Hyperbolic => maps::lorentz_to_poincare(st.user_final.row(u)),
-            Geometry::Euclidean => st.user_final.row(u).to_vec(),
         };
         row.iter().map(|x| x.to_f64()).collect()
     }
@@ -466,15 +446,6 @@ impl<S: Scalar> logirec_eval::Ranker for LogiRec<S> {
     }
 }
 
-/// Sanity helper for tests: asserts all item parameters stay in the ball.
-pub fn assert_items_in_ball<S: Scalar>(model: &LogiRec<S>) {
-    if model.cfg.geometry == Geometry::Hyperbolic {
-        for v in 0..model.items.rows() {
-            assert!(poincare::in_ball(model.items.row(v)), "item {v} escaped the ball");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,7 +552,8 @@ mod tests {
         let mut g_item_final = Embedding::zeros(m.items.rows(), m.cfg.dim + 1);
         g_user_final.row_mut(u).copy_from_slice(&gu);
         g_item_final.row_mut(v).copy_from_slice(&gv);
-        let (g_users, g_items) = m.backward_rank(&g_user_final, &g_item_final, &ds.train);
+        let (g_users, g_items) =
+            m.backward_rank_graph(&g_user_final, &g_item_final, &PropGraph::build(&ds.train));
 
         // Item parameter check (Euclidean coordinates, direct FD).
         let h = 1e-6;

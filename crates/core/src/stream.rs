@@ -41,8 +41,9 @@ use logirec_linalg::{ops, Embedding, Scalar, SplitMix64};
 use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::config::{Geometry, LogiRecConfig};
 use crate::graph::PropGraph;
-use crate::losses::rank_loss_grad_sharded;
+use crate::losses::{carrier_distance, rank_loss_grad_sharded};
 use crate::model::LogiRec;
+use crate::trainer::{apply_updates, parameter_health_violation};
 
 /// Typed errors from the fold-in path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -353,8 +354,12 @@ fn optimize_new_row<S: Scalar>(
             Geometry::Euclidean => rsgd::euclidean_step(&mut x, &gx, opts.lr),
         }
     }
+    // Rounding in ⟨x,x⟩_L grows with x₀² times the working precision's
+    // epsilon, so the sheet tolerance does too: an f32 row at x₀ ≈ 40 sits
+    // on the sheet only to ~1e-4. At f64 the 1e-6 floor governs.
+    let sheet_tol = 1e-6f64.max(x.len() as f64 * S::EPSILON * x[0].to_f64().powi(2));
     if !ops::all_finite(&x)
-        || (geometry == Geometry::Hyperbolic && !lorentz::on_manifold(&x, 1e-6))
+        || (geometry == Geometry::Hyperbolic && !lorentz::on_manifold(&x, sheet_tol))
     {
         return Err(FoldInError::NonFinite);
     }
@@ -383,14 +388,6 @@ fn optimize_new_row<S: Scalar>(
 /// may land before it is rejected as divergent (mirrors the trainer's
 /// `explosion_factor` health check).
 const FOLD_IN_EXPLOSION_FACTOR: f64 = 100.0;
-
-/// Carrier-space distance matching the ranking head.
-fn carrier_distance<S: Scalar>(geometry: Geometry, x: &[S], y: &[S]) -> S {
-    match geometry {
-        Geometry::Hyperbolic => lorentz::distance(x, y),
-        Geometry::Euclidean => ops::dist(x, y),
-    }
-}
 
 /// Accumulates `upstream · ∂d(x, y)/∂x` into `acc` (the `y` side is
 /// frozen and discarded).
@@ -745,11 +742,16 @@ pub fn compact<S: Scalar>(
         shard.users.scatter_add(&mut g_user_final);
         shard.items.scatter_add(&mut g_item_final);
         let (g_users, g_items) = model.backward_rank_graph(&g_user_final, &g_item_final, &graph);
-        apply_stream_updates(model, &g_users, &g_items, opts.lr);
+        apply_updates(model, &g_users, &g_items, None, opts.lr);
         inject_compaction_faults(model, epoch);
         epochs_run += 1;
         final_loss = loss;
-        if let Some(reason) = stream_health_violation(model, loss) {
+        let violation = if loss.is_finite() {
+            parameter_health_violation(model)
+        } else {
+            Some(format!("non-finite rank loss {loss}"))
+        };
+        if let Some(reason) = violation {
             *model = pre.clone();
             rolled_back = true;
             rollback_reason = Some(reason);
@@ -826,68 +828,6 @@ fn pre_compaction_checkpoint<S: Scalar>(model: &LogiRec<S>, seed: u64) -> Checkp
         items: model.items.cast(),
         users: model.users.cast(),
     }
-}
-
-/// One optimizer step per parameter family, mirroring the trainer's rules
-/// (tags are untouched: compaction only moves users/items). Per-row steps
-/// are independent, so the result is bit-identical across thread counts.
-fn apply_stream_updates<S: Scalar>(
-    model: &mut LogiRec<S>,
-    g_users: &Embedding<S>,
-    g_items: &Embedding<S>,
-    lr: f64,
-) {
-    let threads = model.cfg.train_threads.max(1);
-    match model.cfg.geometry {
-        Geometry::Hyperbolic => {
-            crate::parallel::for_each_row(&mut model.users, threads, |u, row| {
-                let g = g_users.row(u);
-                if g.iter().any(|&x| x != S::ZERO) {
-                    rsgd::lorentz_step(row, g, lr);
-                }
-            });
-            crate::parallel::for_each_row(&mut model.items, threads, |v, row| {
-                let g = g_items.row(v);
-                if g.iter().any(|&x| x != S::ZERO) {
-                    rsgd::poincare_step(row, g, lr);
-                }
-            });
-        }
-        Geometry::Euclidean => {
-            crate::parallel::for_each_row(&mut model.users, threads, |u, row| {
-                rsgd::euclidean_step(row, g_users.row(u), lr);
-            });
-            crate::parallel::for_each_row(&mut model.items, threads, |v, row| {
-                rsgd::euclidean_step(row, g_items.row(v), lr);
-                ops::clip_norm(row, S::from_f64(1.0 - 1e-5));
-            });
-        }
-    }
-}
-
-/// The trainer's health predicate, mirrored for the compaction mini-loop:
-/// finite loss, finite parameters, items in the ball, users on the
-/// hyperboloid.
-fn stream_health_violation<S: Scalar>(model: &LogiRec<S>, loss: f64) -> Option<String> {
-    if !loss.is_finite() {
-        return Some(format!("non-finite rank loss {loss}"));
-    }
-    if !model.all_finite() {
-        return Some("non-finite parameter after update".into());
-    }
-    if model.cfg.geometry == Geometry::Hyperbolic {
-        for v in 0..model.items.rows() {
-            if !poincare::in_ball(model.items.row(v)) {
-                return Some(format!("item {v} escaped the Poincaré ball"));
-            }
-        }
-        for u in 0..model.users.rows() {
-            if !lorentz::on_manifold(model.users.row(u), 1e-6) {
-                return Some(format!("user {u} left the hyperboloid"));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(feature = "fault-injection")]

@@ -380,7 +380,7 @@ pub fn train_typed<S: Scalar>(
             // steps have their own per-row guards, but skipping here keeps
             // the whole update consistent and lets us report it.
             if g_users.all_finite() && g_items.all_finite() && g_tags.all_finite() {
-                apply_updates(&mut model, &g_users, &g_items, &g_tags, lr);
+                apply_updates(&mut model, &g_users, &g_items, Some(&g_tags), lr);
                 c_steps.incr();
             } else {
                 skipped_steps += 1;
@@ -605,6 +605,13 @@ fn check_health<S: Scalar>(
             }
         }
     }
+    parameter_health_violation(model)
+}
+
+/// The parameter part of the health check, shared by the trainer and
+/// streaming compaction: finite parameters, items inside the Poincaré ball,
+/// users on the Lorentz sheet and tag hyperplane centers of norm in (0, 1).
+pub(crate) fn parameter_health_violation<S: Scalar>(model: &LogiRec<S>) -> Option<String> {
     if !model.all_finite() {
         return Some("non-finite model parameter".into());
     }
@@ -769,12 +776,15 @@ fn inject_model_faults<S: Scalar>(cfg: &LogiRecConfig, epoch: usize, model: &mut
 fn inject_model_faults<S: Scalar>(_cfg: &LogiRecConfig, _epoch: usize, _model: &mut LogiRec<S>) {}
 
 /// Applies one optimizer step per parameter family with the geometry's
-/// Riemannian (or plain) SGD rules.
-fn apply_updates<S: Scalar>(
+/// Riemannian (or plain) SGD rules. Tags are left untouched when `g_tags`
+/// is `None` (streaming compaction moves only users and items). Per-row
+/// steps are independent, so the result is bit-identical across thread
+/// counts.
+pub(crate) fn apply_updates<S: Scalar>(
     model: &mut LogiRec<S>,
     g_users: &Embedding<S>,
     g_items: &Embedding<S>,
-    g_tags: &Embedding<S>,
+    g_tags: Option<&Embedding<S>>,
     lr: f64,
 ) {
     let threads = model.cfg.train_threads;
@@ -792,12 +802,14 @@ fn apply_updates<S: Scalar>(
                     rsgd::poincare_step(row, g, lr);
                 }
             });
-            crate::parallel::for_each_row(&mut model.tags, threads, |t, row| {
-                let g = g_tags.row(t);
-                if !is_zero(g) {
-                    rsgd::hyperplane_step(row, g, lr);
-                }
-            });
+            if let Some(g_tags) = g_tags {
+                crate::parallel::for_each_row(&mut model.tags, threads, |t, row| {
+                    let g = g_tags.row(t);
+                    if !is_zero(g) {
+                        rsgd::hyperplane_step(row, g, lr);
+                    }
+                });
+            }
         }
         Geometry::Euclidean => {
             crate::parallel::for_each_row(&mut model.users, threads, |u, row| {
@@ -808,10 +820,12 @@ fn apply_updates<S: Scalar>(
                 // Keep the ball parametrization of the tag losses valid.
                 ops::clip_norm(row, S::from_f64(1.0 - 1e-5));
             });
-            crate::parallel::for_each_row(&mut model.tags, threads, |t, row| {
-                rsgd::euclidean_step(row, g_tags.row(t), lr);
-                logirec_hyperbolic::hyperplane::clamp_center(row);
-            });
+            if let Some(g_tags) = g_tags {
+                crate::parallel::for_each_row(&mut model.tags, threads, |t, row| {
+                    rsgd::euclidean_step(row, g_tags.row(t), lr);
+                    logirec_hyperbolic::hyperplane::clamp_center(row);
+                });
+            }
         }
     }
 }

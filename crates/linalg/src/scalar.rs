@@ -48,6 +48,8 @@ pub trait Scalar:
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
+    /// Machine epsilon of this precision, widened to `f64`.
+    const EPSILON: f64;
 
     /// Rounds an `f64` into this precision (identity for `f64`).
     fn from_f64(v: f64) -> Self;
@@ -92,6 +94,7 @@ pub trait Scalar:
 impl Scalar for f64 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
+    const EPSILON: f64 = f64::EPSILON;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
@@ -167,6 +170,7 @@ const F32_LANES: usize = 8;
 impl Scalar for f32 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
+    const EPSILON: f64 = f32::EPSILON as f64;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {

@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use logirec_obs::{rss, Counter, Exposition, Histogram, HistogramSnapshot, Telemetry};
+use logirec_obs::{rss, Exposition, Histogram, HistogramSnapshot, Telemetry};
 
 use crate::protocol::{self, Message, Request, Response, ServedBy};
 use crate::reload::{ReloadOutcome, Reloader};
@@ -78,8 +78,9 @@ pub struct ServerConfig {
     pub force_approx: bool,
     /// Hot-swap reload watching (off by default).
     pub watch: Option<WatchConfig>,
-    /// Telemetry sink for the serve span hierarchy, counters, and latency
-    /// histograms.
+    /// Telemetry sink for the serve span hierarchy and warnings. Counters
+    /// and latency histograms live in the server's own always-on store
+    /// ([`Server::stats`], [`Server::latency_snapshot`]).
     pub telemetry: Telemetry,
     /// Deterministic serve-path faults (tests only).
     #[cfg(feature = "fault-injection")]
@@ -104,9 +105,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// Telemetry-independent request/reload counters, readable via the
-/// `{"stats":true}` admin request or [`Server::stats`] even when telemetry
-/// is disabled.
+/// The serve metrics store: request/reload/fold-in counters and per-path
+/// latency histograms, always on and independent of telemetry. Read via
+/// the `{"stats":true}` admin request, [`Server::stats`], and the metrics
+/// exposition.
 #[derive(Debug)]
 struct Stats {
     requests: AtomicU64,
@@ -120,8 +122,7 @@ struct Stats {
     fold_in_success: AtomicU64,
     fold_in_rejected: AtomicU64,
     conn_drops: AtomicU64,
-    // Standalone (registry-free) latency histograms per served_by path, so
-    // `{"stats":true}` percentiles work even with telemetry disabled.
+    // Standalone (registry-free) latency histograms per served_by path.
     lat_exact: Histogram,
     lat_approx: Histogram,
     lat_fallback: Histogram,
@@ -195,56 +196,11 @@ impl Stats {
     }
 }
 
-/// Cached telemetry handles so the request path never does a registry
-/// lookup.
-struct TelHandles {
-    c_requests: Counter,
-    c_exact: Counter,
-    c_approx: Counter,
-    c_fallback: Counter,
-    c_shed: Counter,
-    c_errors: Counter,
-    c_reload_success: Counter,
-    c_reload_rejected: Counter,
-    c_fold_in_success: Counter,
-    c_fold_in_rejected: Counter,
-    // Only incremented by the accept loop's fault hook.
-    #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
-    c_conn_drops: Counter,
-    h_exact_us: Histogram,
-    h_approx_us: Histogram,
-    h_fallback_us: Histogram,
-    h_shed_us: Histogram,
-}
-
-impl TelHandles {
-    fn new(tel: &Telemetry) -> Self {
-        Self {
-            c_requests: tel.counter("serve.requests"),
-            c_exact: tel.counter("serve.exact"),
-            c_approx: tel.counter("serve.approx"),
-            c_fallback: tel.counter("serve.fallback"),
-            c_shed: tel.counter("serve.shed"),
-            c_errors: tel.counter("serve.errors"),
-            c_reload_success: tel.counter("serve.reload_success"),
-            c_reload_rejected: tel.counter("serve.reload_rejected"),
-            c_fold_in_success: tel.counter("serve.fold_in_success"),
-            c_fold_in_rejected: tel.counter("serve.fold_in_rejected"),
-            c_conn_drops: tel.counter("serve.conn_drops"),
-            h_exact_us: tel.histogram("serve.exact_us"),
-            h_approx_us: tel.histogram("serve.approx_us"),
-            h_fallback_us: tel.histogram("serve.fallback_us"),
-            h_shed_us: tel.histogram("serve.shed_us"),
-        }
-    }
-}
-
 struct ServerInner {
     cfg: ServerConfig,
     ctx: Arc<ServeContext>,
     store: SnapshotStore,
     stats: Stats,
-    tel: TelHandles,
     addr: SocketAddr,
     shutdown: AtomicBool,
     inflight: AtomicUsize,
@@ -304,12 +260,10 @@ impl Server {
             }
             Mutex::new(r)
         });
-        let tel = TelHandles::new(&cfg.telemetry);
         let inner = Arc::new(ServerInner {
             ctx,
             store: SnapshotStore::new(initial),
             stats: Stats::default(),
-            tel,
             addr,
             shutdown: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
@@ -437,7 +391,6 @@ fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) {
         if let Some(f) = &inner.cfg.faults {
             if f.take_connection_drop() {
                 inner.stats.conn_drops.fetch_add(1, Ordering::Relaxed);
-                inner.tel.c_conn_drops.incr();
                 drop(stream);
                 continue;
             }
@@ -478,14 +431,12 @@ fn try_reload(inner: &ServerInner, force: bool) -> ReloadOutcome {
         ReloadOutcome::Unchanged => {}
         ReloadOutcome::Swapped { version } => {
             inner.stats.reload_success.fetch_add(1, Ordering::Relaxed);
-            inner.tel.c_reload_success.incr();
             let mut span = tel.span("reload");
             span.field("outcome", "swapped");
             span.field("version", *version);
         }
         ReloadOutcome::Rejected { reason } => {
             inner.stats.reload_rejected.fetch_add(1, Ordering::Relaxed);
-            inner.tel.c_reload_rejected.incr();
             let mut span = tel.span("reload");
             span.field("outcome", "rejected");
             tel.warn("serve.reload", format!("reload rejected, keeping last-good: {reason}"));
@@ -541,7 +492,6 @@ fn handle_line(inner: &ServerInner, line: &str, scratch: &mut Vec<f64>) -> (Stri
     match protocol::parse_message(line) {
         Err(msg) => {
             inner.stats.errors.fetch_add(1, Ordering::Relaxed);
-            inner.tel.c_errors.incr();
             (protocol::encode_error(0, &msg), false)
         }
         Ok(Message::Shutdown) => ("{\"id\":0,\"shutdown\":true}".to_string(), true),
@@ -565,7 +515,6 @@ fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
         Ok((candidate, new_id)) => {
             let version = inner.store.swap(candidate);
             inner.stats.fold_in_success.fetch_add(1, Ordering::Relaxed);
-            inner.tel.c_fold_in_success.incr();
             let mut span = tel.span("fold_in");
             span.field("entity", entity);
             span.field("new_id", new_id);
@@ -577,7 +526,6 @@ fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
         }
         Err(reason) => {
             inner.stats.fold_in_rejected.fetch_add(1, Ordering::Relaxed);
-            inner.tel.c_fold_in_rejected.incr();
             tel.warn("serve.fold_in", format!("fold-in rejected, keeping last-good: {reason}"));
             let mut s = "{\"id\":0,\"fold_in\":\"rejected\",\"reason\":\"".to_string();
             protocol::escape_into(&reason, &mut s);
@@ -623,9 +571,8 @@ fn stats_line(inner: &ServerInner) -> String {
     line
 }
 
-/// Renders the full exposition: authoritative `Stats` counters and latency
-/// summaries first, then the telemetry registry (whose `serve.*` mirrors
-/// are deduplicated away by first-writer-wins).
+/// Renders the full exposition: the `Stats` counters and latency summaries,
+/// then whatever the telemetry registry holds.
 fn render_exposition(inner: &ServerInner) -> String {
     let s = inner.stats.snapshot();
     let mut e = Exposition::new();
@@ -698,7 +645,6 @@ fn handle_recommend(inner: &ServerInner, req: &Request, scratch: &mut Vec<f64>) 
     let t0 = Instant::now();
     let tel = &inner.cfg.telemetry;
     inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-    inner.tel.c_requests.incr();
     let mut span = tel.span("request");
     span.field("user", req.user);
     span.field("k", req.k);
@@ -797,26 +743,18 @@ fn handle_recommend(inner: &ServerInner, req: &Request, scratch: &mut Vec<f64>) 
         ServedBy::Exact => {
             inner.stats.exact.fetch_add(1, Ordering::Relaxed);
             inner.stats.lat_exact.record(latency_us);
-            inner.tel.c_exact.incr();
-            inner.tel.h_exact_us.record(latency_us);
         }
         ServedBy::Approx => {
             inner.stats.approx.fetch_add(1, Ordering::Relaxed);
             inner.stats.lat_approx.record(latency_us);
-            inner.tel.c_approx.incr();
-            inner.tel.h_approx_us.record(latency_us);
         }
         ServedBy::Fallback => {
             inner.stats.fallback.fetch_add(1, Ordering::Relaxed);
             inner.stats.lat_fallback.record(latency_us);
-            inner.tel.c_fallback.incr();
-            inner.tel.h_fallback_us.record(latency_us);
         }
         ServedBy::Shed => {
             inner.stats.shed.fetch_add(1, Ordering::Relaxed);
             inner.stats.lat_shed.record(latency_us);
-            inner.tel.c_shed.incr();
-            inner.tel.h_shed_us.record(latency_us);
         }
     }
     span.field("served_by", served_by.as_str());

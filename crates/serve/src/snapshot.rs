@@ -164,6 +164,29 @@ enum ModelKind {
     F32(LogiRec<f32>),
 }
 
+/// The one f32/f64 dispatch point: binds the precision-typed model inside
+/// a [`ModelKind`] to `$m` and evaluates `$body` for whichever arm is live.
+macro_rules! with_model {
+    ($kind:expr, |$m:ident| $body:expr) => {
+        match $kind {
+            ModelKind::F64($m) => $body,
+            ModelKind::F32($m) => $body,
+        }
+    };
+}
+
+impl From<LogiRec<f64>> for ModelKind {
+    fn from(m: LogiRec<f64>) -> Self {
+        ModelKind::F64(m)
+    }
+}
+
+impl From<LogiRec<f32>> for ModelKind {
+    fn from(m: LogiRec<f32>) -> Self {
+        ModelKind::F32(m)
+    }
+}
+
 /// An immutable, fully validated, ready-to-score model snapshot. Built once
 /// (propagation + canary probe happen in [`ModelSnapshot::build`], off the
 /// request path), then shared read-only behind an `Arc` — requests never
@@ -171,7 +194,6 @@ enum ModelKind {
 #[derive(Debug)]
 pub struct ModelSnapshot {
     version: u64,
-    precision: Precision,
     source: String,
     model: ModelKind,
     /// The serving context this snapshot was validated against. Owned (as
@@ -223,48 +245,38 @@ impl ModelSnapshot {
         source: impl Into<String>,
         index_cfg: Option<IndexConfig>,
     ) -> Result<Self, String> {
-        if model.items.rows() != ctx.n_items() {
-            return Err(format!(
-                "model has {} items but the dataset has {}",
-                model.items.rows(),
-                ctx.n_items()
-            ));
+        let kind = match precision {
+            Precision::F64 => ModelKind::F64(model),
+            Precision::F32 => ModelKind::F32(model.cast()),
+        };
+        Self::build_kind(kind, ctx, source.into(), index_cfg)
+    }
+
+    /// The validation pipeline behind [`ModelSnapshot::build_with_index`],
+    /// on a model already at its serving precision.
+    fn build_kind(
+        mut kind: ModelKind,
+        ctx: &Arc<ServeContext>,
+        source: String,
+        index_cfg: Option<IndexConfig>,
+    ) -> Result<Self, String> {
+        let (items, users) = with_model!(&kind, |m| (m.items.rows(), m.users.rows()));
+        if items != ctx.n_items() {
+            return Err(format!("model has {items} items but the dataset has {}", ctx.n_items()));
         }
-        if model.users.rows() != ctx.n_users() {
-            return Err(format!(
-                "model has {} users but the dataset has {}",
-                model.users.rows(),
-                ctx.n_users()
-            ));
+        if users != ctx.n_users() {
+            return Err(format!("model has {users} users but the dataset has {}", ctx.n_users()));
         }
-        if !model.all_finite() {
+        if !with_model!(&kind, |m| m.all_finite()) {
             return Err("model has non-finite parameters".to_string());
         }
-        let kind = match precision {
-            Precision::F64 => {
-                let mut m = model;
-                m.propagate(ctx.train());
-                ModelKind::F64(m)
-            }
-            Precision::F32 => {
-                let mut m = model.cast::<f32>();
-                m.propagate(ctx.train());
-                ModelKind::F32(m)
-            }
-        };
-        let index = match (&kind, &index_cfg) {
-            (_, None) => None,
-            (ModelKind::F64(m), Some(cfg)) => {
-                Some(ClusterIndex::build(&m.state().item_final, m.cfg.geometry, cfg))
-            }
-            (ModelKind::F32(m), Some(cfg)) => {
-                Some(ClusterIndex::build(&m.state().item_final, m.cfg.geometry, cfg))
-            }
-        };
+        with_model!(&mut kind, |m| m.propagate(ctx.train()));
+        let index = index_cfg.map(|cfg| {
+            with_model!(&kind, |m| ClusterIndex::build(&m.state().item_final, m.cfg.geometry, &cfg))
+        });
         let snap = Self {
             version: 0,
-            precision,
-            source: source.into(),
+            source,
             model: kind,
             ctx: Arc::clone(ctx),
             index,
@@ -306,7 +318,10 @@ impl ModelSnapshot {
 
     /// Working precision of the scoring path.
     pub fn precision(&self) -> Precision {
-        self.precision
+        match self.model {
+            ModelKind::F64(_) => Precision::F64,
+            ModelKind::F32(_) => Precision::F32,
+        }
     }
 
     /// Where the snapshot came from (file path, or a caller-chosen label).
@@ -316,10 +331,7 @@ impl ModelSnapshot {
 
     /// The model hyperparameters (used as the base config when reloading).
     pub fn config(&self) -> &LogiRecConfig {
-        match &self.model {
-            ModelKind::F64(m) => &m.cfg,
-            ModelKind::F32(m) => &m.cfg,
-        }
+        with_model!(&self.model, |m| &m.cfg)
     }
 
     /// The approximate-retrieval index, when one was built.
@@ -358,44 +370,21 @@ impl ModelSnapshot {
         steps: Option<usize>,
         lr: Option<f64>,
     ) -> Result<(Self, usize), String> {
-        let run = |opts: &mut FoldInOptions| {
-            if let Some(s) = steps {
-                opts.steps = s;
-            }
-            if let Some(l) = lr {
-                opts.lr = l;
-            }
-        };
         // Fold at the serving precision, so the appended row is exactly
-        // what this snapshot's scoring path would have produced; an f32
-        // model round-trips through f64 losslessly (exact widening, exact
-        // re-narrowing at build).
-        let (model, new_id) = match &self.model {
-            ModelKind::F64(m) => {
-                let mut m2 = m.clone();
-                let mut opts = FoldInOptions::for_config(&m2.cfg);
-                run(&mut opts);
-                let report = if item {
-                    stream::fold_in_item(&mut m2, positives, &opts)
-                } else {
-                    stream::fold_in_user(&mut m2, positives, &opts)
-                }
-                .map_err(|e| format!("fold-in: {e}"))?;
-                (m2, report.id)
+        // what this snapshot's scoring path would have produced.
+        let (model, new_id) = with_model!(&self.model, |m| {
+            let mut m = m.clone();
+            let mut opts = FoldInOptions::for_config(&m.cfg);
+            opts.steps = steps.unwrap_or(opts.steps);
+            opts.lr = lr.unwrap_or(opts.lr);
+            let report = if item {
+                stream::fold_in_item(&mut m, positives, &opts)
+            } else {
+                stream::fold_in_user(&mut m, positives, &opts)
             }
-            ModelKind::F32(m) => {
-                let mut m2 = m.clone();
-                let mut opts = FoldInOptions::for_config(&m2.cfg);
-                run(&mut opts);
-                let report = if item {
-                    stream::fold_in_item(&mut m2, positives, &opts)
-                } else {
-                    stream::fold_in_user(&mut m2, positives, &opts)
-                }
-                .map_err(|e| format!("fold-in: {e}"))?;
-                (m2.cast::<f64>(), report.id)
-            }
-        };
+            .map_err(|e| format!("fold-in: {e}"))?;
+            (ModelKind::from(m), report.id)
+        });
         let grown = if item {
             self.ctx.with_new_item(positives)
         } else {
@@ -404,8 +393,7 @@ impl ModelSnapshot {
         .map_err(|e| format!("fold-in context: {e}"))?;
         let kind = if item { "item" } else { "user" };
         let source = format!("{} + fold_in {kind} {new_id}", self.source);
-        let snap =
-            Self::build_with_index(model, self.precision, &Arc::new(grown), source, self.index_cfg)?;
+        let snap = Self::build_kind(model, &Arc::new(grown), source, self.index_cfg)?;
         Ok((snap, new_id))
     }
 
@@ -424,26 +412,17 @@ impl ModelSnapshot {
         let Some(index) = &self.index else { return Ok(None) };
         let seen = self.ctx.seen().seen_of(u)?;
         let nprobe = nprobe.unwrap_or_else(|| index.nprobe());
-        let out = match &self.model {
-            ModelKind::F64(m) => {
-                let st = m.state();
-                index.search(st.user_final.row(u), &st.item_final, seen, k, nprobe)
-            }
-            ModelKind::F32(m) => {
-                let st = m.state();
-                index.search(st.user_final.row(u), &st.item_final, seen, k, nprobe)
-            }
-        };
+        let out = with_model!(&self.model, |m| {
+            let st = m.state();
+            index.search(st.user_final.row(u), &st.item_final, seen, k, nprobe)
+        });
         Ok(Some(out))
     }
 
     /// Scores every item for `u` into `out` (higher is better), exactly as
     /// the offline evaluator would.
     pub fn score_user(&self, u: usize, out: &mut [f64]) {
-        match &self.model {
-            ModelKind::F64(m) => m.score_user(u, out),
-            ModelKind::F32(m) => m.score_user(u, out),
-        }
+        with_model!(&self.model, |m| m.score_user(u, out))
     }
 
     /// The exact top-K response for `u`: score all items into `scratch`,
@@ -514,10 +493,14 @@ mod tests {
     use logirec_data::{DatasetSpec, Scale, Split};
 
     fn fixture() -> (Dataset, Arc<ServeContext>, ModelSnapshot) {
+        fixture_at(Precision::F64)
+    }
+
+    fn fixture_at(precision: Precision) -> (Dataset, Arc<ServeContext>, ModelSnapshot) {
         let ds = DatasetSpec::ciao(Scale::Tiny).generate(11);
         let ctx = Arc::new(ServeContext::from_dataset(&ds));
         let model = LogiRec::new(LogiRecConfig::test_config(), &ds);
-        let snap = ModelSnapshot::build(model, Precision::F64, &ctx, "test").expect("valid");
+        let snap = ModelSnapshot::build(model, precision, &ctx, "test").expect("valid");
         (ds, ctx, snap)
     }
 
@@ -595,12 +578,19 @@ mod tests {
 
     #[test]
     fn fold_in_candidate_grows_context_and_serves_the_new_user() {
-        let (ds, ctx, snap) = fixture();
+        for precision in [Precision::F64, Precision::F32] {
+            fold_in_grows_context_and_serves_the_new_user_at(precision);
+        }
+    }
+
+    fn fold_in_grows_context_and_serves_the_new_user_at(precision: Precision) {
+        let (ds, ctx, snap) = fixture_at(precision);
         let new_user = ctx.n_users();
         let positives = vec![1usize, 4, 9];
         let (candidate, id) = snap.fold_in(false, &positives, None, None).expect("fold in");
         assert_eq!(id, new_user);
         assert_eq!(candidate.ctx().n_users(), ds.n_users() + 1);
+        assert_eq!(candidate.precision(), precision);
         // The original snapshot and context are untouched.
         assert_eq!(ctx.n_users(), ds.n_users());
         let mut scratch = Vec::new();
@@ -611,12 +601,14 @@ mod tests {
         for &v in &positives {
             assert!(!items.contains(&v), "positive {v} must be masked");
         }
-        // Pre-existing users score identically on both snapshots.
-        let (old_items, old_scores) = snap.top_k(0, 10, &mut scratch).expect("in range");
-        let (new_items, new_scores) = candidate.top_k(0, 10, &mut scratch).expect("in range");
-        assert_eq!(old_items, new_items);
-        for (a, b) in old_scores.iter().zip(&new_scores) {
-            assert_eq!(a.to_bits(), b.to_bits(), "old user scores must be bit-identical");
+        // Every pre-existing user scores identically on both snapshots.
+        for u in 0..ds.n_users() {
+            let (old_items, old_scores) = snap.top_k(u, 10, &mut scratch).expect("in range");
+            let (new_items, new_scores) = candidate.top_k(u, 10, &mut scratch).expect("in range");
+            assert_eq!(old_items, new_items, "user {u}");
+            for (a, b) in old_scores.iter().zip(&new_scores) {
+                assert_eq!(a.to_bits(), b.to_bits(), "user {u} scores must be bit-identical");
+            }
         }
     }
 

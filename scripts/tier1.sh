@@ -8,7 +8,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
+# --workspace: the gate runs binaries from member crates too (perfgate lives
+# in crates/bench), not only the root package's.
+cargo build --release --workspace
+# The benchmark crate is a workspace of its own with path deps on crates/*;
+# building it here makes a library API change that breaks it fail the gate.
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
 

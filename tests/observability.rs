@@ -27,13 +27,18 @@ fn dataset() -> Dataset {
 
 /// Starts a server and drives `n` nominal exact-path requests through it.
 fn server_after_requests(n: usize) -> (Server, Client) {
+    server_after_requests_with(n, Telemetry::disabled())
+}
+
+/// [`server_after_requests`] with `telemetry` as the server's span sink.
+fn server_after_requests_with(n: usize, telemetry: Telemetry) -> (Server, Client) {
     let ds = dataset();
     let cfg = LogiRecConfig { epochs: 2, ..LogiRecConfig::test_config() };
     let model = train(cfg, &ds).0;
     let ctx = Arc::new(ServeContext::from_dataset(&ds));
     let snap = ModelSnapshot::build(model, Precision::F64, &ctx, "obs").expect("valid snapshot");
-    let server = Server::start(ServerConfig::default(), Arc::clone(&ctx), snap)
-        .expect("server starts");
+    let cfg = ServerConfig { telemetry, ..ServerConfig::default() };
+    let server = Server::start(cfg, Arc::clone(&ctx), snap).expect("server starts");
     let mut client = Client::connect(server.addr()).expect("connect");
     for i in 0..n {
         let req = Request { id: i as u64, user: i % ctx.n_users(), k: 5, deadline_ms: None };
@@ -77,10 +82,16 @@ fn stats_percentiles_match_the_latency_histograms() {
 
 /// The `{"metrics":true}` admin verb must return the same exposition text
 /// `Server::exposition` renders, with counters and latency quantiles that
-/// match the authoritative stats.
+/// match the authoritative stats — with telemetry off and with a ring-sink
+/// telemetry recording the serve spans alongside.
 #[test]
 fn metrics_exposition_matches_server_state_over_the_wire() {
-    let (server, mut client) = server_after_requests(25);
+    exposition_matches_server_state(Telemetry::disabled());
+    exposition_matches_server_state(Telemetry::enabled());
+}
+
+fn exposition_matches_server_state(telemetry: Telemetry) {
+    let (server, mut client) = server_after_requests_with(25, telemetry);
     let line = client.roundtrip_line("{\"metrics\":true}").expect("metrics roundtrip");
     let j = json::parse(&line).expect("metrics line parses");
     assert_eq!(j.get("metrics").and_then(Json::as_bool), Some(true));
@@ -92,11 +103,11 @@ fn metrics_exposition_matches_server_state_over_the_wire() {
     assert!(body.contains("logirec_serve_exact_total 25\n"), "{body}");
     assert!(body.contains("logirec_serve_shed_total 0\n"), "{body}");
     assert!(body.contains("logirec_serve_model_version 1\n"), "{body}");
-    assert_eq!(
-        body.matches("# TYPE logirec_serve_requests_total counter").count(),
-        1,
-        "each family must be emitted exactly once"
-    );
+    let mut families: Vec<&str> = body.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    let n_families = families.len();
+    families.sort_unstable();
+    families.dedup();
+    assert_eq!(families.len(), n_families, "each family must be emitted exactly once:\n{body}");
 
     // Latency summary lines equal the histogram quantiles bit-for-bit.
     let [exact, _, _, _] = server.latency_snapshot();
