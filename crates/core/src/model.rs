@@ -603,31 +603,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pushed_degree_zero_rows_match_full_repropagation() {
-        let (mut m, ds) = tiny_model();
+    /// Every entry of `e`, widened to `f64` (exact for `f32`) as raw bits.
+    fn bits<S: Scalar>(e: &Embedding<S>) -> Vec<u64> {
+        e.as_slice().iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// Pushes one user and one item row onto a model propagated on one
+    /// thread, then re-propagates the grown graph (the new rows have no
+    /// edges) on four: the incrementally extended state must match bit for
+    /// bit.
+    fn pushed_rows_match_repropagation_at<S: Scalar>(geometry: Geometry, layers: usize) {
+        let ds = DatasetSpec::ciao(Scale::Tiny).generate(1);
+        let cfg =
+            LogiRecConfig { geometry, layers, train_threads: 1, ..LogiRecConfig::test_config() };
+        let mut m: LogiRec<S> = LogiRec::<f64>::new(cfg, &ds).cast();
         m.propagate(&ds.train);
-        let tangent = vec![0.01; m.cfg.dim];
-        let u = m.push_user_row(&lorentz::exp_origin(&tangent));
-        let v = m.push_item_row(&vec![0.005; m.cfg.dim]);
+        let tangent = vec![S::from_f64(0.01); m.cfg.dim];
+        let user_row = match geometry {
+            Geometry::Hyperbolic => lorentz::exp_origin(&tangent),
+            Geometry::Euclidean => tangent,
+        };
+        let u = m.push_user_row(&user_row);
+        let v = m.push_item_row(&vec![S::from_f64(0.005); m.cfg.dim]);
         assert_eq!(u, ds.n_users());
         assert_eq!(v, ds.n_items());
         let incremental = m.state().clone();
 
-        // Re-propagating against the grown graph (the new rows have no
-        // edges) must reproduce the incrementally extended state bit for
-        // bit.
-        let pairs: Vec<(usize, usize)> = ds.train.iter_pairs().collect();
-        let grown = InteractionSet::from_pairs(ds.n_users() + 1, ds.n_items() + 1, &pairs);
+        let mut grown = ds.train.clone();
+        grown.push_user();
+        grown.push_item();
+        m.cfg.train_threads = 4;
         m.propagate(&grown);
         let full = m.state();
-        assert_eq!(incremental.user_final, full.user_final);
-        assert_eq!(incremental.item_final, full.item_final);
-        assert_eq!(incremental.user_final_tan, full.user_final_tan);
-        assert_eq!(incremental.item_final_tan, full.item_final_tan);
-        assert_eq!(incremental.z_u0, full.z_u0);
-        assert_eq!(incremental.z_v0, full.z_v0);
-        assert_eq!(incremental.item_carrier, full.item_carrier);
+        let what = format!("{} {geometry:?} layers={layers}", std::any::type_name::<S>());
+        for (name, a, b) in [
+            ("user_final", &incremental.user_final, &full.user_final),
+            ("item_final", &incremental.item_final, &full.item_final),
+            ("user_final_tan", &incremental.user_final_tan, &full.user_final_tan),
+            ("item_final_tan", &incremental.item_final_tan, &full.item_final_tan),
+            ("z_u0", &incremental.z_u0, &full.z_u0),
+            ("z_v0", &incremental.z_v0, &full.z_v0),
+            ("item_carrier", &incremental.item_carrier, &full.item_carrier),
+        ] {
+            assert_eq!((a.rows(), a.dim()), (b.rows(), b.dim()), "{what}: {name} shape");
+            assert!(bits(a) == bits(b), "{what}: {name} not bit-identical");
+        }
+    }
+
+    #[test]
+    fn pushed_degree_zero_rows_match_full_repropagation() {
+        for geometry in [Geometry::Hyperbolic, Geometry::Euclidean] {
+            for layers in [LogiRecConfig::test_config().layers, 0] {
+                pushed_rows_match_repropagation_at::<f64>(geometry, layers);
+                pushed_rows_match_repropagation_at::<f32>(geometry, layers);
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! where the ranking distances live — and stores the base parameter row
 //! whose degree-0 propagation reproduces `x`: for users
 //! `exp₀(log₀(x)/L)`, for items the Poincaré image of that point. After
-//! the snapshot re-propagates, the folded row's final embedding equals the
+//! `push_*_row` extends the forward state (bit-identical to re-propagating
+//! the grown graph), the folded row's final embedding equals the
 //! optimized point up to one exp/log round trip (~1e-9), while every
 //! pre-existing final embedding is untouched because the new node
 //! contributes no messages.

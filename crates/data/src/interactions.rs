@@ -89,6 +89,23 @@ impl InteractionSet {
         self.by_user[u].binary_search(&v).is_ok()
     }
 
+    /// Appends one user with no interactions and returns its id. Existing
+    /// rows and columns are untouched, so a grown set equals
+    /// [`Self::from_pairs`] over the same pairs with one more user.
+    pub fn push_user(&mut self) -> usize {
+        self.by_user.push(Vec::new());
+        self.n_users += 1;
+        self.n_users - 1
+    }
+
+    /// Appends one item with no interactions and returns its id (the
+    /// mirror of [`Self::push_user`]).
+    pub fn push_item(&mut self) -> usize {
+        self.by_item.push(Vec::new());
+        self.n_items += 1;
+        self.n_items - 1
+    }
+
     /// Iterates all `(user, item)` pairs in user order.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.by_user
@@ -235,6 +252,23 @@ mod tests {
         let s = InteractionSet::from_pairs(2, 3, &pairs);
         let got: Vec<_> = s.iter_pairs().collect();
         assert_eq!(got, pairs);
+    }
+
+    #[test]
+    fn pushed_rows_match_a_rebuild_with_one_more_user_and_item() {
+        let pairs = vec![(0, 1), (1, 0), (1, 2)];
+        let mut s = InteractionSet::from_pairs(2, 3, &pairs);
+        assert_eq!(s.push_user(), 2);
+        assert_eq!(s.push_item(), 3);
+        let rebuilt = InteractionSet::from_pairs(3, 4, &pairs);
+        assert_eq!((s.n_users(), s.n_items(), s.len()), (3, 4, 3));
+        for u in 0..3 {
+            assert_eq!(s.items_of(u), rebuilt.items_of(u), "user {u}");
+        }
+        for v in 0..4 {
+            assert_eq!(s.users_of(v), rebuilt.users_of(v), "item {v}");
+        }
+        assert!(s.items_of(2).is_empty() && s.users_of(3).is_empty());
     }
 
     #[test]

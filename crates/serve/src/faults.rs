@@ -3,11 +3,14 @@
 //! never by release builds), extending `logirec_core::faults` from the
 //! training loop into serving.
 //!
-//! Two hook points:
+//! Three hook points:
 //!
 //! * [`ServeFaultPlan::maybe_stall`] — called inside the scoring span, so a
 //!   scheduled stall pushes an otherwise-fast request past its deadline and
 //!   exercises the late-exact → fallback demotion;
+//! * [`ServeFaultPlan::maybe_stall_publish`] — called by a fold-in between
+//!   reading the live snapshot and swapping its grown successor in, so a
+//!   reload can be driven into exactly that window;
 //! * [`ServeFaultPlan::take_connection_drop`] — consulted by the accept
 //!   loop, dropping the next N accepted connections on the floor so the
 //!   client's bounded-retry path is tested against real refused work.
@@ -26,7 +29,21 @@ pub use logirec_core::faults::{flip_bit, truncate_file};
 struct Inner {
     stall_us: AtomicU64,
     stalls_left: AtomicU64,
+    publish_stall_us: AtomicU64,
+    publish_stalls_left: AtomicU64,
     conn_drops_left: AtomicU64,
+}
+
+/// Consumes one unit of a scheduled budget; false once it is exhausted.
+fn take(left: &AtomicU64) -> bool {
+    let mut cur = left.load(Ordering::SeqCst);
+    while cur > 0 {
+        match left.compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst) {
+            Ok(_) => return true,
+            Err(now) => cur = now,
+        }
+    }
+    false
 }
 
 /// A shared, thread-safe schedule of serve-path faults. Cloning shares the
@@ -50,17 +67,27 @@ impl ServeFaultPlan {
 
     /// Scoring-path hook: sleeps if a stall is scheduled, consuming one.
     pub fn maybe_stall(&self) {
-        let left = &self.inner.stalls_left;
-        let mut cur = left.load(Ordering::SeqCst);
-        while cur > 0 {
-            match left.compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => {
-                    let us = self.inner.stall_us.load(Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_micros(us));
-                    return;
-                }
-                Err(now) => cur = now,
-            }
+        if take(&self.inner.stalls_left) {
+            let us = self.inner.stall_us.load(Ordering::SeqCst);
+            std::thread::sleep(Duration::from_micros(us));
+        }
+    }
+
+    /// Schedules the next `times` fold-in publishes to stall for `dur`
+    /// each, between reading the live snapshot and swapping.
+    pub fn stall_publish(&self, dur: Duration, times: u64) {
+        self.inner.publish_stall_us.store(dur.as_micros() as u64, Ordering::SeqCst);
+        self.inner.publish_stalls_left.store(times, Ordering::SeqCst);
+    }
+
+    /// Publish-path hook: sleeps if a publish stall is scheduled,
+    /// consuming one. The budget drops before the sleep starts, so
+    /// [`Self::pending_publish_stalls`] reaching zero means a stall is
+    /// under way (or done).
+    pub fn maybe_stall_publish(&self) {
+        if take(&self.inner.publish_stalls_left) {
+            let us = self.inner.publish_stall_us.load(Ordering::SeqCst);
+            std::thread::sleep(Duration::from_micros(us));
         }
     }
 
@@ -72,20 +99,17 @@ impl ServeFaultPlan {
     /// Accept-loop hook: true when the connection should be dropped,
     /// consuming one scheduled drop.
     pub fn take_connection_drop(&self) -> bool {
-        let left = &self.inner.conn_drops_left;
-        let mut cur = left.load(Ordering::SeqCst);
-        while cur > 0 {
-            match left.compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
-        false
+        take(&self.inner.conn_drops_left)
     }
 
     /// Stalls still scheduled (tests assert exhaustion).
     pub fn pending_stalls(&self) -> u64 {
         self.inner.stalls_left.load(Ordering::SeqCst)
+    }
+
+    /// Publish stalls still scheduled.
+    pub fn pending_publish_stalls(&self) -> u64 {
+        self.inner.publish_stalls_left.load(Ordering::SeqCst)
     }
 
     /// Connection drops still scheduled.
@@ -106,6 +130,12 @@ mod tests {
         plan.maybe_stall();
         assert_eq!(plan.pending_stalls(), 0);
         plan.maybe_stall(); // budget exhausted: no-op
+
+        plan.stall_publish(Duration::from_micros(1), 1);
+        assert_eq!(plan.pending_publish_stalls(), 1);
+        plan.maybe_stall_publish();
+        assert_eq!(plan.pending_publish_stalls(), 0);
+        assert_eq!(plan.pending_stalls(), 0, "publish stalls have their own budget");
 
         plan.drop_connections(1);
         assert!(plan.take_connection_drop());

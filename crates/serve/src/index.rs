@@ -22,6 +22,15 @@
 //!   over the item table via [`logirec_linalg::cluster`] — SplitMix64-
 //!   seeded, fixed iteration order, bit-reproducible. Per cluster we store
 //!   its member list and a radius `r_c = max_{v∈c} ‖v − centroid_c‖`.
+//!   Boot and hot-swap reload build; nothing else does.
+//! * **Insert** (a folded-in item, see `ModelSnapshot::fold_in`): the new
+//!   row joins its nearest centroid under the same f64 Euclidean rule and
+//!   tie-break as the build's final k-means assignment, and that cluster's
+//!   radius grows to cover it. Centroids never move, so an inserted index
+//!   is not the index a rebuild would produce — but the radius bound stays
+//!   sound and the exhaustive probe stays bit-identical to the exact scan,
+//!   which is all the query path relies on. A folded-in *user* leaves the
+//!   item table byte-identical, so the snapshot shares the index as is.
 //! * **Query**: rank clusters by the centroid key (`q·c` for Lorentz,
 //!   `‖q−c‖` for Euclidean), scan the `nprobe` nearest, and re-rank every
 //!   unseen member with the **exact** distance kernel — the same
@@ -109,7 +118,7 @@ impl ProbeReport {
 /// Centroids and radii are always `f64` (they only *select* candidates);
 /// the exact re-rank runs at the snapshot's working precision through the
 /// row slices the caller passes to [`ClusterIndex::search`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ClusterIndex {
     geometry: Geometry,
     n_items: usize,
@@ -122,9 +131,6 @@ pub struct ClusterIndex {
     offsets: Vec<usize>,
     members: Vec<u32>,
     build_us: u64,
-    /// Version of the snapshot this index serves; stamped by the
-    /// `SnapshotStore` at install time, in lockstep with `model_version`.
-    model_version: u64,
 }
 
 impl ClusterIndex {
@@ -172,8 +178,34 @@ impl ClusterIndex {
             offsets,
             members,
             build_us: t0.elapsed().as_micros() as u64,
-            model_version: 0,
         }
+    }
+
+    /// Adds the next item id (`n_items`) to the index without
+    /// re-clustering. `row` is that item's propagated ambient row; it joins
+    /// a cluster by one [`cluster::assign_clusters`] pass over the
+    /// f64-widened row — the nearest-centroid rule and tie-break (smaller
+    /// cluster id) of the build's final assignment — and the cluster's
+    /// radius is raised to cover it. Centroids and every other cluster are
+    /// untouched. Returns the cluster the item joined.
+    pub(crate) fn insert<S: Scalar>(&mut self, row: &[S]) -> usize {
+        assert_eq!(row.len(), self.dim, "index row width");
+        let mut point = Embedding::<f64>::zeros(1, self.dim);
+        for (p, x) in point.row_mut(0).iter_mut().zip(row) {
+            *p = x.to_f64();
+        }
+        let mut assignment = [u32::MAX];
+        cluster::assign_clusters(&point, &self.centroids, &mut assignment);
+        let c = assignment[0] as usize;
+        // The new id is the largest, so placing it at the end of the
+        // cluster's range keeps the members ascending.
+        self.members.insert(self.offsets[c + 1], self.n_items as u32);
+        for o in &mut self.offsets[c + 1..] {
+            *o += 1;
+        }
+        self.radii[c] = self.radii[c].max(ops::dist(point.row(0), self.centroids.row(c)));
+        self.n_items += 1;
+        c
     }
 
     /// Number of clusters actually built.
@@ -196,13 +228,16 @@ impl ClusterIndex {
         self.build_us
     }
 
-    /// The snapshot version this index serves (0 before install).
-    pub fn model_version(&self) -> u64 {
-        self.model_version
-    }
-
-    pub(crate) fn set_model_version(&mut self, version: u64) {
-        self.model_version = version;
+    /// Every cluster whose member list holds item `v`, each paired with
+    /// whether `row` (that item's ambient row) lies within the cluster's
+    /// radius of its centroid.
+    #[cfg(test)]
+    pub(crate) fn clusters_holding<S: Scalar>(&self, v: usize, row: &[S]) -> Vec<(usize, bool)> {
+        let point: Vec<f64> = row.iter().map(|x| x.to_f64()).collect();
+        (0..self.clusters())
+            .filter(|&c| self.members[self.offsets[c]..self.offsets[c + 1]].contains(&(v as u32)))
+            .map(|c| (c, ops::dist(&point, self.centroids.row(c)) <= self.radii[c]))
+            .collect()
     }
 
     /// Approximate top-K for one query row.
@@ -467,6 +502,38 @@ mod tests {
                 .map(|v| -ops::dist(users.row(u), items.row(v)))
                 .collect();
             assert_eq!(got, top_k_indices(&scores, 5), "euclidean user {u}");
+        }
+    }
+
+    #[test]
+    fn inserted_items_join_their_nearest_cluster_and_stay_exactly_searchable() {
+        let base = hyperboloid_items(400, 8, 31);
+        let users = hyperboloid_items(15, 8, 32);
+        let cfg = IndexConfig { clusters: 12, ..IndexConfig::default() };
+        let mut idx = ClusterIndex::build(&base, Geometry::Hyperbolic, &cfg);
+        let built = idx.clone();
+        let extra = hyperboloid_items(5, 8, 33);
+        let mut items = base.clone();
+        for i in 0..extra.rows() {
+            let v = items.rows();
+            items.push_row(extra.row(i));
+            let c = idx.insert(extra.row(i));
+            let point: Vec<f64> = extra.row(i).to_vec();
+            assert_eq!(c, cluster::nearest_centroid(&point, &idx.centroids).0);
+            assert_eq!(idx.clusters_holding(v, extra.row(i)), vec![(c, true)], "item {v}");
+        }
+        assert_eq!(idx.n_items(), items.rows());
+        for c in 0..idx.clusters() {
+            let m = &idx.members[idx.offsets[c]..idx.offsets[c + 1]];
+            assert!(m.windows(2).all(|w| w[0] < w[1]), "cluster {c} members ascending");
+            assert!(idx.radii[c] >= built.radii[c]);
+        }
+        // Centroids never move on insert.
+        assert_eq!(idx.centroids, built.centroids);
+        let seen = vec![7usize, 401];
+        for u in 0..users.rows() {
+            let (got, _, _) = idx.search(users.row(u), &items, &seen, 10, idx.clusters());
+            assert_eq!(got, full_scan(users.row(u), &items, &seen, 10), "user {u}");
         }
     }
 

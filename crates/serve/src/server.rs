@@ -27,10 +27,13 @@
 //! leaves the connection open.
 //!
 //! Fold-in requests run off the request path: they optimize the single new
-//! row against the frozen model, grow the serving context, rebuild the
-//! index, and publish the result through the same validated
-//! [`SnapshotStore`] swap as a reload. A rejected candidate (e.g. a
-//! divergent row) keeps the last-good snapshot serving.
+//! row against the frozen model, grow the snapshot by that row (no
+//! re-propagation, no index rebuild — see [`ModelSnapshot::fold_in`]), and
+//! publish the result through the same validated [`SnapshotStore`] swap as
+//! a reload. A rejected candidate (e.g. a divergent row) keeps the
+//! last-good snapshot serving. Fold-ins and reloads both hold one publish
+//! lock from reading the live snapshot to swapping its successor in, so
+//! neither can overwrite the other with a snapshot grown from a stale base.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -127,6 +130,9 @@ struct Stats {
     lat_approx: Histogram,
     lat_fallback: Histogram,
     lat_shed: Histogram,
+    // Fold-in publish latency (lock wait + grow + validate + swap),
+    // swapped and rejected alike.
+    lat_fold_in: Histogram,
 }
 
 impl Default for Stats {
@@ -147,6 +153,7 @@ impl Default for Stats {
             lat_approx: Histogram::standalone(),
             lat_fallback: Histogram::standalone(),
             lat_shed: Histogram::standalone(),
+            lat_fold_in: Histogram::standalone(),
         }
     }
 }
@@ -205,9 +212,12 @@ struct ServerInner {
     shutdown: AtomicBool,
     inflight: AtomicUsize,
     reloader: Option<Mutex<Reloader>>,
-    // Serializes fold-ins: each builds from the current snapshot and
-    // swaps, so racing two would silently drop one entity.
-    fold_in_lock: Mutex<()>,
+    // The one publisher: fold-ins and reloads hold it from `store.get()` to
+    // `store.swap()`. Each builds its candidate from the live snapshot (or
+    // replaces it outright), so two publishes racing would let the later
+    // swap silently undo the earlier one — a dropped signup, or a reload
+    // reverted by a fold-in grown from the pre-reload model.
+    publish_lock: Mutex<()>,
 }
 
 /// RAII inflight counter: `depth` includes this request.
@@ -268,7 +278,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             reloader,
-            fold_in_lock: Mutex::new(()),
+            publish_lock: Mutex::new(()),
             cfg,
         });
 
@@ -422,10 +432,12 @@ fn try_reload(inner: &ServerInner, force: bool) -> ReloadOutcome {
     let Some(reloader) = &inner.reloader else {
         return ReloadOutcome::Rejected { reason: "no watch path configured".to_string() };
     };
-    let outcome = reloader
-        .lock()
-        .expect("reloader poisoned")
-        .attempt(force, &inner.ctx, &inner.store);
+    // `attempt` reads the live snapshot and swaps the candidate in; the
+    // publish lock spans both so a concurrent fold-in cannot interleave.
+    let outcome = {
+        let _publish = inner.publish_lock.lock().expect("publish lock poisoned");
+        reloader.lock().expect("reloader poisoned").attempt(force, &inner.ctx, &inner.store)
+    };
     let tel = &inner.cfg.telemetry;
     match &outcome {
         ReloadOutcome::Unchanged => {}
@@ -507,16 +519,27 @@ fn handle_line(inner: &ServerInner, line: &str, scratch: &mut Vec<f64>) -> (Stri
 /// entity off the request path and publish it, or keep the last-good
 /// snapshot when validation rejects the candidate.
 fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
-    let _serial = inner.fold_in_lock.lock().expect("fold-in lock poisoned");
+    let t0 = Instant::now();
     let tel = &inner.cfg.telemetry;
     let entity = if verb.item { "item" } else { "user" };
-    let snap = inner.store.get();
-    match snap.fold_in(verb.item, &verb.positives, verb.steps, verb.lr) {
-        Ok((candidate, new_id)) => {
-            let version = inner.store.swap(candidate);
+    let mut span = tel.span("fold_in");
+    span.field("entity", entity);
+    let outcome = {
+        let _publish = inner.publish_lock.lock().expect("publish lock poisoned");
+        let snap = inner.store.get();
+        snap.fold_in(verb.item, &verb.positives, verb.steps, verb.lr).map(|(candidate, new_id)| {
+            #[cfg(feature = "fault-injection")]
+            if let Some(f) = &inner.cfg.faults {
+                f.maybe_stall_publish();
+            }
+            (inner.store.swap(candidate), new_id)
+        })
+    };
+    inner.stats.lat_fold_in.record(t0.elapsed().as_micros() as u64);
+    match outcome {
+        Ok((version, new_id)) => {
             inner.stats.fold_in_success.fetch_add(1, Ordering::Relaxed);
-            let mut span = tel.span("fold_in");
-            span.field("entity", entity);
+            span.field("outcome", "swapped");
             span.field("new_id", new_id);
             span.field("version", version);
             format!(
@@ -526,6 +549,7 @@ fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
         }
         Err(reason) => {
             inner.stats.fold_in_rejected.fetch_add(1, Ordering::Relaxed);
+            span.field("outcome", "rejected");
             tel.warn("serve.fold_in", format!("fold-in rejected, keeping last-good: {reason}"));
             let mut s = "{\"id\":0,\"fold_in\":\"rejected\",\"reason\":\"".to_string();
             protocol::escape_into(&reason, &mut s);
@@ -561,6 +585,7 @@ fn stats_line(inner: &ServerInner) -> String {
         ("approx", &inner.stats.lat_approx),
         ("fallback", &inner.stats.lat_fallback),
         ("shed", &inner.stats.lat_shed),
+        ("fold_in", &inner.stats.lat_fold_in),
     ] {
         let (p50, p95, p99) = h.snapshot().percentiles();
         line.push_str(&format!(
@@ -596,6 +621,7 @@ fn render_exposition(inner: &ServerInner) -> String {
     e.summary("logirec_serve_approx_latency_us", &inner.stats.lat_approx.snapshot());
     e.summary("logirec_serve_fallback_latency_us", &inner.stats.lat_fallback.snapshot());
     e.summary("logirec_serve_shed_latency_us", &inner.stats.lat_shed.snapshot());
+    e.summary("logirec_serve_fold_in_latency_us", &inner.stats.lat_fold_in.snapshot());
     e.snapshot("logirec_", &inner.cfg.telemetry.metrics_snapshot());
     e.render()
 }

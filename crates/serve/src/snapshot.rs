@@ -16,6 +16,7 @@ use logirec_core::{FilterError, LogiRec, LogiRecConfig, Precision, SeenFilter};
 use logirec_data::{Dataset, InteractionSet};
 use logirec_eval::ranking::top_k_indices;
 use logirec_eval::Ranker;
+use logirec_linalg::ops;
 
 use crate::index::{ClusterIndex, IndexConfig, ProbeReport};
 
@@ -124,15 +125,14 @@ impl ServeContext {
     }
 
     /// A copy of this context grown by one user whose seen items are
-    /// `positives`. The training interactions keep their edges but gain
-    /// the row — the new user is **isolated** in the propagation graph, so
-    /// re-propagating a folded model leaves every pre-existing final
-    /// embedding byte-identical (see `logirec_core::stream`).
+    /// `positives`. The training interactions gain an empty row — the new
+    /// user is **isolated** in the propagation graph, so every
+    /// pre-existing final embedding stays byte-identical (see
+    /// `logirec_core::stream`).
     pub fn with_new_user(&self, positives: &[usize]) -> Result<Self, FilterError> {
         let mut next = self.clone();
-        let pairs: Vec<(usize, usize)> = self.train.iter_pairs().collect();
-        next.train = InteractionSet::from_pairs(self.n_users() + 1, self.n_items(), &pairs);
         next.seen.push_user(positives)?;
+        next.train.push_user();
         Ok(next)
     }
 
@@ -142,12 +142,11 @@ impl ServeContext {
     /// is where a brand-new item belongs in a popularity prior).
     pub fn with_new_item(&self, interacting_users: &[usize]) -> Result<Self, FilterError> {
         let mut next = self.clone();
-        let pairs: Vec<(usize, usize)> = self.train.iter_pairs().collect();
-        next.train = InteractionSet::from_pairs(self.n_users(), self.n_items() + 1, &pairs);
         let v = next.seen.push_item();
         for &u in interacting_users {
             next.seen.record_seen(u, v)?;
         }
+        next.train.push_item();
         // Zero count and the largest id: appending keeps the
         // (count desc, id asc) order invariant.
         next.popularity.push(v);
@@ -189,8 +188,9 @@ impl From<LogiRec<f32>> for ModelKind {
 
 /// An immutable, fully validated, ready-to-score model snapshot. Built once
 /// (propagation + canary probe happen in [`ModelSnapshot::build`], off the
-/// request path), then shared read-only behind an `Arc` — requests never
-/// lock or mutate it.
+/// request path) or grown from a live one by [`ModelSnapshot::fold_in`],
+/// then shared read-only behind an `Arc` — requests never lock or mutate
+/// it.
 #[derive(Debug)]
 pub struct ModelSnapshot {
     version: u64,
@@ -203,9 +203,11 @@ pub struct ModelSnapshot {
     /// through a context with mismatched shapes.
     ctx: Arc<ServeContext>,
     /// The approximate-retrieval index over this snapshot's item table,
-    /// when the server was configured with one. Owned by the snapshot so a
+    /// when the server was configured with one. Held by the snapshot so a
     /// hot swap replaces model and index atomically — they can never skew.
-    index: Option<ClusterIndex>,
+    /// Shared (not copied) by a user fold-in, whose item table is
+    /// byte-identical to its parent's.
+    index: Option<Arc<ClusterIndex>>,
     /// The config the index was built with, carried so a reload rebuilds
     /// the candidate's index with identical knobs.
     index_cfg: Option<IndexConfig>,
@@ -214,6 +216,18 @@ pub struct ModelSnapshot {
 /// How many top items the build-time index canary compares bit-for-bit
 /// against the exact scan.
 const INDEX_CANARY_K: usize = 10;
+
+/// The model's tables must cover exactly the context's users and items.
+fn check_shapes(kind: &ModelKind, ctx: &ServeContext) -> Result<(), String> {
+    let (items, users) = with_model!(kind, |m| (m.items.rows(), m.users.rows()));
+    if items != ctx.n_items() {
+        return Err(format!("model has {items} items but the dataset has {}", ctx.n_items()));
+    }
+    if users != ctx.n_users() {
+        return Err(format!("model has {users} users but the dataset has {}", ctx.n_users()));
+    }
+    Ok(())
+}
 
 impl ModelSnapshot {
     /// Validates `model` against `ctx` and prepares it for serving:
@@ -260,19 +274,15 @@ impl ModelSnapshot {
         source: String,
         index_cfg: Option<IndexConfig>,
     ) -> Result<Self, String> {
-        let (items, users) = with_model!(&kind, |m| (m.items.rows(), m.users.rows()));
-        if items != ctx.n_items() {
-            return Err(format!("model has {items} items but the dataset has {}", ctx.n_items()));
-        }
-        if users != ctx.n_users() {
-            return Err(format!("model has {users} users but the dataset has {}", ctx.n_users()));
-        }
+        check_shapes(&kind, ctx)?;
         if !with_model!(&kind, |m| m.all_finite()) {
             return Err("model has non-finite parameters".to_string());
         }
         with_model!(&mut kind, |m| m.propagate(ctx.train()));
         let index = index_cfg.map(|cfg| {
-            with_model!(&kind, |m| ClusterIndex::build(&m.state().item_final, m.cfg.geometry, &cfg))
+            Arc::new(with_model!(&kind, |m| {
+                ClusterIndex::build(&m.state().item_final, m.cfg.geometry, &cfg)
+            }))
         });
         let snap = Self {
             version: 0,
@@ -289,26 +299,70 @@ impl ModelSnapshot {
                 return Err(format!("canary user {u} scores item {v} non-finite"));
             }
         }
-        if let Some(index) = &snap.index {
-            let mut scratch = Vec::new();
-            for &u in ctx.canaries() {
-                let (exact_items, exact_scores) = snap
-                    .top_k(u, INDEX_CANARY_K, &mut scratch)
-                    .map_err(|e| format!("index canary user {u}: {e}"))?;
-                let (items, scores, _) = snap
-                    .approx_top_k(u, INDEX_CANARY_K, Some(index.clusters()))
-                    .map_err(|e| format!("index canary user {u}: {e}"))?
-                    .expect("index present");
-                if items != exact_items
-                    || scores.iter().zip(&exact_scores).any(|(a, b)| a.to_bits() != b.to_bits())
-                {
-                    return Err(format!(
-                        "index canary user {u}: exhaustive probe diverged from the exact scan"
-                    ));
-                }
+        snap.index_canary()?;
+        Ok(snap)
+    }
+
+    /// The index canary: for every canary user, an exhaustive probe must
+    /// reproduce the exact tier's top-K bit for bit. A no-op without an
+    /// index.
+    fn index_canary(&self) -> Result<(), String> {
+        let Some(index) = &self.index else { return Ok(()) };
+        let mut scratch = Vec::new();
+        for &u in self.ctx.canaries() {
+            let (exact_items, exact_scores) = self
+                .top_k(u, INDEX_CANARY_K, &mut scratch)
+                .map_err(|e| format!("index canary user {u}: {e}"))?;
+            let (items, scores, _) = self
+                .approx_top_k(u, INDEX_CANARY_K, Some(index.clusters()))
+                .map_err(|e| format!("index canary user {u}: {e}"))?
+                .expect("index present");
+            if items != exact_items
+                || scores.iter().zip(&exact_scores).any(|(a, b)| a.to_bits() != b.to_bits())
+            {
+                return Err(format!(
+                    "index canary user {u}: exhaustive probe diverged from the exact scan"
+                ));
             }
         }
-        Ok(snap)
+        Ok(())
+    }
+
+    /// Validates the one entity a fold-in appended, on a snapshot whose
+    /// every other row is byte-identical to an already-validated parent:
+    /// its parameter and final rows must be finite, and one exact scan of
+    /// it against the whole opposite table must score finite: a new user
+    /// scores every item, and every user (the canary users among them)
+    /// scores a new item, through the serving score kernel.
+    fn check_new_entity(&self, item: bool, id: usize) -> Result<(), String> {
+        let entity = if item { "item" } else { "user" };
+        let finite = with_model!(&self.model, |m| {
+            let st = m.state();
+            let (param, last) = if item {
+                (m.items.row(id), st.item_final.row(id))
+            } else {
+                (m.users.row(id), st.user_final.row(id))
+            };
+            ops::all_finite(param) && ops::all_finite(last)
+        });
+        if !finite {
+            return Err(format!("folded-in {entity} {id} has non-finite parameters"));
+        }
+        if item {
+            let bad = with_model!(&self.model, |m| {
+                (0..m.users.rows()).find(|&u| !m.pair_distance(u, id).is_finite())
+            });
+            if let Some(u) = bad {
+                return Err(format!("user {u} scores folded-in item {id} non-finite"));
+            }
+        } else {
+            let mut scores = vec![0.0f64; self.ctx.n_items()];
+            self.score_user(id, &mut scores);
+            if let Some(v) = scores.iter().position(|s| !s.is_finite()) {
+                return Err(format!("folded-in user {id} scores item {v} non-finite"));
+            }
+        }
+        Ok(())
     }
 
     /// The version the owning [`SnapshotStore`] assigned (0 before install).
@@ -336,7 +390,7 @@ impl ModelSnapshot {
 
     /// The approximate-retrieval index, when one was built.
     pub fn index(&self) -> Option<&ClusterIndex> {
-        self.index.as_ref()
+        self.index.as_deref()
     }
 
     /// The index configuration this snapshot was built with (a reload
@@ -352,14 +406,26 @@ impl ModelSnapshot {
         &self.ctx
     }
 
-    /// Folds one brand-new entity into a **candidate** snapshot: clones
-    /// the frozen model, runs the deterministic new-row-only optimization
-    /// (`logirec_core::stream`), grows the serving context, and rebuilds
-    /// the snapshot through the full validation pipeline — propagation,
-    /// canary probe, and index rebuild in lockstep. The current snapshot
-    /// is untouched; on any failure (non-finite row, out-of-range
-    /// positives, canary failure) the error is returned and the caller
-    /// keeps serving last-good.
+    /// Folds one brand-new entity into a **candidate** snapshot by
+    /// **growth**: clones the propagated model, runs the deterministic
+    /// new-row-only optimization (`logirec_core::stream`), whose
+    /// `push_*_row` extends the cached forward state bit-exactly (a new
+    /// entity has no edges, so every existing final embedding is
+    /// unchanged), and appends an empty row to the serving context.
+    /// Nothing is re-propagated and the index is never rebuilt: a user
+    /// fold-in shares the parent's index (the item table is byte-identical)
+    /// and an item fold-in inserts the new id into its nearest cluster
+    /// (`ClusterIndex::insert`).
+    ///
+    /// Validation covers only what changed: shapes, the new rows'
+    /// finiteness, one exact scan of the new entity against the whole
+    /// opposite table, and — on item fold-ins, the only case where the
+    /// index changed — the index canary. The base canaries are not re-run
+    /// over rows byte-identical to the already-validated parent. The
+    /// current snapshot is untouched; on any failure (non-finite row,
+    /// out-of-range positives) the error is returned and the caller keeps
+    /// serving last-good. Boot and reload build through
+    /// [`ModelSnapshot::build_with_index`], the only full-build path.
     ///
     /// `steps` / `lr` override the fold-in defaults when given. Returns
     /// the candidate and the id the new entity was assigned.
@@ -391,9 +457,28 @@ impl ModelSnapshot {
             self.ctx.with_new_user(positives)
         }
         .map_err(|e| format!("fold-in context: {e}"))?;
+        check_shapes(&model, &grown)?;
+        let index = match &self.index {
+            Some(parent) if item => {
+                let mut index = ClusterIndex::clone(parent);
+                with_model!(&model, |m| index.insert(m.state().item_final.row(new_id)));
+                Some(Arc::new(index))
+            }
+            shared => shared.clone(),
+        };
         let kind = if item { "item" } else { "user" };
-        let source = format!("{} + fold_in {kind} {new_id}", self.source);
-        let snap = Self::build_kind(model, &Arc::new(grown), source, self.index_cfg)?;
+        let snap = Self {
+            version: 0,
+            source: format!("{} + fold_in {kind} {new_id}", self.source),
+            model,
+            ctx: Arc::new(grown),
+            index,
+            index_cfg: self.index_cfg,
+        };
+        snap.check_new_entity(item, new_id)?;
+        if item {
+            snap.index_canary()?;
+        }
         Ok((snap, new_id))
     }
 
@@ -460,9 +545,6 @@ impl SnapshotStore {
     /// Installs `initial` as version 1.
     pub fn new(mut initial: ModelSnapshot) -> Self {
         initial.version = 1;
-        if let Some(index) = &mut initial.index {
-            index.set_model_version(1);
-        }
         Self { current: Mutex::new(Arc::new(initial)), next_version: AtomicU64::new(2) }
     }
 
@@ -476,12 +558,9 @@ impl SnapshotStore {
     /// already hold.
     pub fn swap(&self, mut snap: ModelSnapshot) -> u64 {
         let version = self.next_version.fetch_add(1, Ordering::Relaxed);
+        // One version covers model, index and context: they swap as one
+        // unit, and this is the version the wire reports.
         snap.version = version;
-        // The index (when present) is stamped in lockstep: one version
-        // covers the model/index pair, because they swap as one unit.
-        if let Some(index) = &mut snap.index {
-            index.set_model_version(version);
-        }
         *self.current.lock().expect("snapshot store poisoned") = Arc::new(snap);
         version
     }
@@ -608,6 +687,96 @@ mod tests {
             assert_eq!(old_items, new_items, "user {u}");
             for (a, b) in old_scores.iter().zip(&new_scores) {
                 assert_eq!(a.to_bits(), b.to_bits(), "user {u} scores must be bit-identical");
+            }
+        }
+    }
+
+    fn indexed_fixture_at(precision: Precision) -> (Dataset, ModelSnapshot) {
+        let ds = DatasetSpec::ciao(Scale::Tiny).generate(11);
+        let ctx = Arc::new(ServeContext::from_dataset(&ds));
+        let model = LogiRec::new(LogiRecConfig::test_config(), &ds);
+        let cfg = Some(IndexConfig { clusters: 7, ..IndexConfig::default() });
+        let snap = ModelSnapshot::build_with_index(model, precision, &ctx, "test", cfg)
+            .expect("valid");
+        (ds, snap)
+    }
+
+    /// The full build of a grown snapshot's model, context and index knobs
+    /// (the `f32 → f64 → f32` round trip is exact).
+    fn rebuilt(grown: &ModelSnapshot) -> ModelSnapshot {
+        let model = with_model!(&grown.model, |m| m.cast::<f64>());
+        ModelSnapshot::build_with_index(
+            model,
+            grown.precision(),
+            grown.ctx(),
+            "rebuilt",
+            grown.index_config(),
+        )
+        .expect("the grown model passes the full build")
+    }
+
+    fn assert_same_answer(what: &str, a: (Vec<usize>, Vec<f64>), b: (Vec<usize>, Vec<f64>)) {
+        assert_eq!(a.0, b.0, "{what}: items differ");
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.1), bits(&b.1), "{what}: scores not bit-identical");
+    }
+
+    #[test]
+    fn grown_user_fold_in_serves_what_a_full_rebuild_serves() {
+        for precision in [Precision::F64, Precision::F32] {
+            let (ds, snap) = indexed_fixture_at(precision);
+            let (grown, id) = snap.fold_in(false, &[1, 4, 9], None, None).expect("fold in");
+            assert_eq!(id, ds.n_users());
+            let (shared, parent) = (grown.index.as_ref(), snap.index.as_ref());
+            assert!(
+                Arc::ptr_eq(shared.expect("index"), parent.expect("index")),
+                "{precision}: a user fold-in shares the parent's index"
+            );
+            let full = rebuilt(&grown);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for u in 0..=id {
+                let what = format!("{precision} user {u}");
+                assert_same_answer(
+                    &format!("{what} exact"),
+                    grown.top_k(u, 10, &mut a).expect("in range"),
+                    full.top_k(u, 10, &mut b).expect("in range"),
+                );
+                let (gi, gs, gr) = grown.approx_top_k(u, 10, None).expect("ok").expect("index");
+                let (fi, fs, fr) = full.approx_top_k(u, 10, None).expect("ok").expect("index");
+                assert_same_answer(&format!("{what} approx"), (gi, gs), (fi, fs));
+                assert_eq!(gr, fr, "{what}: probe accounting");
+            }
+        }
+    }
+
+    #[test]
+    fn grown_item_fold_in_joins_one_cluster_and_keeps_the_exhaustive_probe_exact() {
+        for precision in [Precision::F64, Precision::F32] {
+            let (ds, snap) = indexed_fixture_at(precision);
+            let (grown, id) = snap.fold_in(true, &[0, 3], None, None).expect("fold in");
+            assert_eq!(id, ds.n_items());
+            let index = grown.index().expect("index");
+            assert_eq!(index.n_items(), ds.n_items() + 1);
+            assert_eq!(snap.index().expect("index").n_items(), ds.n_items(), "parent untouched");
+            let holding =
+                with_model!(&grown.model, |m| index.clusters_holding(id, m.state().item_final.row(id)));
+            assert_eq!(holding.len(), 1, "{precision}: item {id} in exactly one cluster");
+            assert!(holding[0].1, "{precision}: item {id} within its cluster's radius");
+            let full = rebuilt(&grown);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for u in 0..ds.n_users() {
+                let what = format!("{precision} user {u}");
+                let exact = grown.top_k(u, 10, &mut a).expect("in range");
+                assert_same_answer(
+                    &format!("{what} exact vs rebuild"),
+                    exact.clone(),
+                    full.top_k(u, 10, &mut b).expect("in range"),
+                );
+                let (items, scores, _) = grown
+                    .approx_top_k(u, 10, Some(index.clusters()))
+                    .expect("ok")
+                    .expect("index");
+                assert_same_answer(&format!("{what} exhaustive probe"), (items, scores), exact);
             }
         }
     }

@@ -134,6 +134,21 @@ case "$approx_out" in
   *"served_by: approx (requested)"*) ;;
   *) echo "tier1: approx smoke FAILED (request not served by the index)"; exit 1 ;;
 esac
+# Item fold-in smoke on the indexed server: the new item is inserted into
+# its nearest cluster of the live index (no rebuild); the grown snapshot
+# must publish, and the next request must still be served by the index.
+item_out=$(./target/release/logirec request --addr "$approx_addr" --fold-in 1,2 --fold-in-item)
+echo "$item_out"
+case "$item_out" in
+  *"fold_in: swapped  entity: item"*"model_version: 2"*) ;;
+  *) echo "tier1: item fold-in smoke FAILED (fold-in not swapped)"; exit 1 ;;
+esac
+approx_after=$(./target/release/logirec request --addr "$approx_addr" --user 1 --k 5)
+echo "$approx_after"
+case "$approx_after" in
+  *"served_by: approx"*) ;;
+  *) echo "tier1: item fold-in smoke FAILED (not served by the grown index)"; exit 1 ;;
+esac
 ./target/release/logirec request --addr "$approx_addr" --shutdown
 wait "$approx_pid" \
   || { echo "tier1: approx smoke FAILED (indexed server did not exit cleanly)"; exit 1; }

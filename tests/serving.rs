@@ -7,7 +7,7 @@
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use logirec_suite::core::io::save_model;
 use logirec_suite::core::{train, LogiRec, LogiRecConfig, Precision};
@@ -16,8 +16,8 @@ use logirec_suite::data::{DatasetSpec, Scale, Split};
 use logirec_suite::eval::ranking::top_k_indices;
 use logirec_suite::serve::faults::{truncate_file, ServeFaultPlan};
 use logirec_suite::serve::{
-    recommend_with_retry, Client, IndexConfig, ModelSnapshot, Request, RetryPolicy, ServeContext,
-    ServedBy, Server, ServerConfig, WatchConfig,
+    recommend_with_retry, Client, IndexConfig, ModelSnapshot, ReloadOutcome, Request, RetryPolicy,
+    ServeContext, ServedBy, Server, ServerConfig, WatchConfig,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -206,6 +206,56 @@ fn torn_model_file_is_rejected_and_last_good_keeps_serving() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A reload that lands while a fold-in sits between reading the live
+/// snapshot and swapping its grown successor in must not be undone by that
+/// fold-in. Both publish under one lock, so the fold-in (grown from the
+/// pre-reload model) swaps first and the reload after it: the reloaded
+/// model is what stays live.
+#[test]
+fn reload_during_a_stalled_fold_in_stays_live() {
+    let ds = dataset();
+    let path = tmp("publish-race.logirec");
+    let _ = std::fs::remove_file(&path);
+    let faults = ServeFaultPlan::new();
+    let cfg = ServerConfig {
+        watch: Some(WatchConfig { path: path.clone(), poll: Duration::from_secs(3600) }),
+        faults: Some(faults.clone()),
+        ..ServerConfig::default()
+    };
+    let (server, _ctx) = start_server(cfg, &ds, trained_model(&ds));
+    let next = LogiRec::new(LogiRecConfig { seed: 99, ..LogiRecConfig::test_config() }, &ds);
+    save_model(&next, &path).expect("save model");
+
+    faults.stall_publish(Duration::from_millis(300), 1);
+    let addr = server.addr();
+    let folder = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client.fold_in(false, &[1, 4, 9], None, None).expect("fold-in round-trips")
+    });
+    // The stall budget drops as the stall starts: from here until the
+    // fold-in swaps, a reload lands inside its publish window.
+    let t0 = Instant::now();
+    while faults.pending_publish_stalls() > 0 {
+        assert!(t0.elapsed() < Duration::from_secs(30), "the fold-in never reached its publish");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let outcome = server.reload_now();
+    let j = folder.join().expect("fold-in thread");
+    assert_eq!(j.get("fold_in").and_then(|v| v.as_str()), Some("swapped"));
+    assert_eq!(j.get("model_version").and_then(|v| v.as_u64()), Some(2));
+    assert_eq!(outcome, ReloadOutcome::Swapped { version: 3 }, "the reload publishes last");
+    let live = server.store().get();
+    assert_eq!(live.version(), 3);
+    assert_eq!(live.source(), path.display().to_string(), "the reloaded model must be live");
+
+    let mut client = Client::connect(addr).expect("connect");
+    let resp = client.recommend(&request(0, 5, Some(10_000))).expect("serves");
+    assert_eq!(resp.model_version, 3, "responses come from the reloaded snapshot");
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// An injected scoring stall pushes an exact computation past its deadline:
 /// the request demotes to fallback (the late exact answer is discarded),
 /// and the next request — stall budget exhausted — is exact again.
@@ -299,7 +349,8 @@ fn client_errors_leave_the_connection_and_server_healthy() {
 /// to fallback, a rejected fold-in (divergent row) keeps the last-good
 /// snapshot, and a successful `{"fold_in":..}` publishes a new snapshot
 /// version whose user is immediately servable on all three tiers — exact,
-/// approx (index rebuilt in lockstep), and the seen-filtered fallback.
+/// approx (the parent's index, shared: a new user leaves the item table
+/// byte-identical), and the seen-filtered fallback.
 #[test]
 fn fold_in_verb_publishes_a_new_version_serving_the_cold_user_on_every_tier() {
     let ds = dataset();
@@ -334,8 +385,8 @@ fn fold_in_verb_publishes_a_new_version_serving_the_cold_user_on_every_tier() {
     );
     assert_eq!(server.store().get().version(), 1, "rejected candidate never went live");
 
-    // The real fold-in publishes version 2 carrying the new user, with the
-    // retrieval index rebuilt and stamped in lockstep.
+    // The real fold-in publishes version 2 carrying the new user; the
+    // snapshot keeps serving its retrieval index under that one version.
     let positives = vec![1usize, 4, 9];
     let j = client.fold_in(false, &positives, None, None).expect("round-trips");
     assert_eq!(j.get("fold_in").and_then(|v| v.as_str()), Some("swapped"));
@@ -343,8 +394,8 @@ fn fold_in_verb_publishes_a_new_version_serving_the_cold_user_on_every_tier() {
     assert_eq!(j.get("new_id").and_then(|v| v.as_u64()), Some(new_user as u64));
     assert_eq!(j.get("model_version").and_then(|v| v.as_u64()), Some(2));
     let live = server.store().get();
-    assert_eq!(live.version(), 2);
-    assert_eq!(live.index().expect("index rebuilt").model_version(), 2, "lockstep");
+    assert_eq!(live.version(), 2, "the wire model_version is the snapshot's version");
+    assert!(live.index().is_some(), "the grown snapshot keeps the index");
 
     // Exact tier: served, on the new version, with the positives masked.
     let resp = client.recommend(&request(new_user, 10, Some(10_000))).expect("exact");
@@ -355,7 +406,7 @@ fn fold_in_verb_publishes_a_new_version_serving_the_cold_user_on_every_tier() {
         assert!(!resp.items.contains(&v), "seen item {v} must stay masked");
     }
 
-    // Approx tier: the tight-deadline route probes the rebuilt index.
+    // Approx tier: the tight-deadline route probes the shared index.
     let resp = client.recommend(&request(new_user, 10, Some(1000))).expect("approx");
     assert_eq!(resp.served_by, ServedBy::Approx);
     assert_eq!(resp.model_version, 2);
@@ -379,6 +430,13 @@ fn fold_in_verb_publishes_a_new_version_serving_the_cold_user_on_every_tier() {
     let j = client.stats().expect("stats round-trips");
     assert_eq!(j.get("fold_in_success").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(j.get("fold_in_rejected").and_then(|v| v.as_u64()), Some(1));
+    // Both publishes, swapped and rejected, are timed.
+    assert!(j.get("fold_in_p50_us").and_then(|v| v.as_u64()).is_some_and(|us| us > 0));
+    let exposition = server.exposition();
+    assert!(
+        exposition.contains("logirec_serve_fold_in_latency_us_count 2\n"),
+        "{exposition}"
+    );
     drop(client);
     server.shutdown();
 }
