@@ -39,10 +39,12 @@ pub struct LorentzScorer {
 
 impl Ranker for LorentzScorer {
     fn score_user(&self, u: usize, out: &mut [f64]) {
-        let p = self.users.row(u);
-        for (v, o) in out.iter_mut().enumerate() {
-            *o = -lorentz::distance(p, self.items.row(v));
-        }
+        lorentz::neg_distance_block::<f64, 1>(&self.users, &[u], &self.items, out);
+    }
+
+    fn score_users(&self, users: &[usize], out: &mut [f64]) {
+        const B: usize = logirec_eval::USER_BLOCK;
+        lorentz::neg_distance_block::<f64, B>(&self.users, users, &self.items, out);
     }
 }
 

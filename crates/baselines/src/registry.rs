@@ -55,6 +55,10 @@ impl Ranker for TrainedModel {
     fn score_user(&self, u: usize, out: &mut [f64]) {
         self.scorer.score_user(u, out)
     }
+
+    fn score_users(&self, users: &[usize], out: &mut [f64]) {
+        self.scorer.score_users(users, out)
+    }
 }
 
 impl Method {

@@ -1,9 +1,9 @@
 //! `perfgate` — the perf-regression gate.
 //!
 //! Runs a pinned micro+macro suite (kernel distances, GCN propagation, a
-//! tiny training run, in-process serve latency), writes the structured
-//! result as `BENCH_<n>.json`, and compares against the last committed
-//! baseline with per-metric noise tolerances. Exits non-zero when any
+//! tiny training run, `evaluate` per user, in-process serve latency),
+//! writes the structured result as `BENCH_<n>.json`, and compares against
+//! the last committed baseline with per-metric noise tolerances. Exits non-zero when any
 //! gated metric regresses past its tolerance.
 //!
 //! ```text
@@ -29,7 +29,8 @@ use std::time::Instant;
 use logirec_bench::perf::{compare, find_latest_baseline, render_comparisons, PerfMetric, PerfSuite};
 use logirec_core::stream::{fold_in_user, FoldInOptions};
 use logirec_core::{graph, train, LogiRec, LogiRecConfig, Precision};
-use logirec_data::{DatasetSpec, Scale};
+use logirec_data::{DatasetSpec, Scale, Split};
+use logirec_eval::evaluate;
 use logirec_hyperbolic::lorentz;
 use logirec_linalg::{Embedding, Scalar, SplitMix64};
 use logirec_obs::rss;
@@ -223,6 +224,28 @@ fn measure_suite() -> PerfSuite {
         tolerance: 2.0,
         gate: true,
     });
+
+    // `evaluate` wall time per evaluated user at ciao Small scale (d=32),
+    // through the blocked scorer the trainer and the CLI run. One thread, so
+    // the number is per-user CPU time. Informational until its run-to-run
+    // spread is known.
+    {
+        let ds = DatasetSpec::ciao(Scale::Small).generate(3);
+        let cfg = LogiRecConfig { dim: 32, ..LogiRecConfig::test_config() };
+        let mut m: LogiRec = LogiRec::new(cfg, &ds);
+        m.propagate(&ds.train);
+        metrics.push(PerfMetric {
+            name: "eval.user_us".to_string(),
+            value: best_of(3, || {
+                let t0 = Instant::now();
+                let res = evaluate(&m, &ds, Split::Test, &[10, 20], 1);
+                t0.elapsed().as_secs_f64() * 1e6 / res.users.len().max(1) as f64
+            }),
+            unit: "us".to_string(),
+            tolerance: 2.0,
+            gate: false,
+        });
+    }
 
     // Cold-start fold-in: per-user cost of streaming a new user into the
     // trained model (a few RSGD steps on the new row only, frozen tables).

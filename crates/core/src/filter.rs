@@ -362,6 +362,18 @@ impl logirec_eval::Ranker for FilteredRanker<'_> {
         self.filter.apply(u, self.item_tags, out);
         debug_assert!(ops::all_finite(out));
     }
+
+    /// Scores the block through the model's blocked kernel, then filters
+    /// each user's row — the same scores and the same penalties as
+    /// [`Self::score_user`], so the result is bit-identical.
+    fn score_users(&self, users: &[usize], out: &mut [f64]) {
+        logirec_eval::Ranker::score_users(self.model, users, out);
+        let n = self.item_tags.len();
+        for (i, &u) in users.iter().enumerate() {
+            self.filter.apply(u, self.item_tags, &mut out[i * n..(i + 1) * n]);
+        }
+        debug_assert!(ops::all_finite(out));
+    }
 }
 
 #[cfg(test)]

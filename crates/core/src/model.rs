@@ -430,16 +430,32 @@ fn degree_zero_layer_sum<S: Scalar>(z0: &[S], layers: usize) -> Vec<S> {
 impl<S: Scalar> logirec_eval::Ranker for LogiRec<S> {
     fn score_user(&self, u: usize, out: &mut [f64]) {
         let st = self.state();
-        let urow = st.user_final.row(u);
         match self.cfg.geometry {
             Geometry::Hyperbolic => {
-                for (v, o) in out.iter_mut().enumerate() {
-                    *o = -lorentz::distance(urow, st.item_final.row(v)).to_f64();
-                }
+                lorentz::neg_distance_block::<S, 1>(&st.user_final, &[u], &st.item_final, out);
             }
             Geometry::Euclidean => {
+                let urow = st.user_final.row(u);
                 for (v, o) in out.iter_mut().enumerate() {
                     *o = -ops::dist(urow, st.item_final.row(v)).to_f64();
+                }
+            }
+        }
+    }
+
+    /// Hyperbolic models score [`logirec_eval::USER_BLOCK`] users per pass
+    /// over the item table; Euclidean ones score user by user.
+    fn score_users(&self, users: &[usize], out: &mut [f64]) {
+        const B: usize = logirec_eval::USER_BLOCK;
+        let st = self.state();
+        match self.cfg.geometry {
+            Geometry::Hyperbolic => {
+                lorentz::neg_distance_block::<S, B>(&st.user_final, users, &st.item_final, out);
+            }
+            Geometry::Euclidean => {
+                let n = st.item_final.rows();
+                for (i, &u) in users.iter().enumerate() {
+                    self.score_user(u, &mut out[i * n..(i + 1) * n]);
                 }
             }
         }

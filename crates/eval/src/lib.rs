@@ -15,5 +15,5 @@ pub mod ranking;
 pub mod stats;
 
 pub use metrics::{ndcg_at_k, recall_at_k};
-pub use ranking::{evaluate, evaluate_traced, top_k_scored, EvalResult, Ranker};
+pub use ranking::{evaluate, evaluate_traced, top_k_scored, EvalResult, Ranker, USER_BLOCK};
 pub use stats::{mean_std, wilcoxon_signed_rank, MeanStd};

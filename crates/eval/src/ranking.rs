@@ -3,7 +3,10 @@
 //! For every user with ground truth in the target split, the evaluator asks
 //! the model to score **all** items, masks items the user already
 //! interacted with in earlier splits, selects the top-K, and accumulates
-//! Recall@K / NDCG@K. Users are processed in parallel with scoped threads.
+//! Recall@K / NDCG@K. Users are processed in parallel with scoped threads,
+//! and each thread scores its users [`USER_BLOCK`] at a time through
+//! [`Ranker::score_users`], so a model with a shared item table streams
+//! that table once per block instead of once per user.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -14,12 +17,31 @@ use logirec_obs::Telemetry;
 
 use crate::metrics::{ndcg_at_k, recall_at_k};
 
+/// Users per [`Ranker::score_users`] call in [`evaluate`], and the block
+/// size of the models' multi-user scoring kernels.
+pub const USER_BLOCK: usize = 16;
+
 /// A trained model that can score every item for a user. Higher is better
 /// (distance-based models should negate their distances).
 pub trait Ranker: Sync {
     /// Fills `out[v]` with the score of item `v` for user `u`;
     /// `out.len() == n_items`.
     fn score_user(&self, u: usize, out: &mut [f64]);
+
+    /// Scores a block of users at once, user-major: with
+    /// `n = out.len() / users.len()` items, `out[i·n..(i+1)·n]` receives
+    /// exactly what `score_user(users[i], ..)` writes, bit for bit. The
+    /// default loops over [`Ranker::score_user`]; models override it to
+    /// score the block in one pass over their item table.
+    fn score_users(&self, users: &[usize], out: &mut [f64]) {
+        if users.is_empty() {
+            return;
+        }
+        let n = out.len() / users.len();
+        for (i, &u) in users.iter().enumerate() {
+            self.score_user(u, &mut out[i * n..(i + 1) * n]);
+        }
+    }
 }
 
 impl<F: Fn(usize, &mut [f64]) + Sync> Ranker for F {
@@ -76,6 +98,12 @@ pub fn evaluate(
 /// (masking + top-K + Recall/NDCG) histograms — lock-free relaxed atomics,
 /// so the scoped threads never contend — and `eval.users` counts the users
 /// evaluated.
+///
+/// Scoring runs a block of up to [`USER_BLOCK`] users per
+/// [`Ranker::score_users`] call, so its time is only known per block:
+/// `eval.score_user_us` still gets one sample per evaluated user, each the
+/// block's wall time divided by the block's length. Masking, top-K and the
+/// metrics run per user and are timed per user, as before.
 pub fn evaluate_traced(
     ranker: &dyn Ranker,
     dataset: &Dataset,
@@ -113,40 +141,48 @@ pub fn evaluate_traced(
                 let (h_score, h_metric, c_users) =
                     (h_score.clone(), h_metric.clone(), c_users.clone());
                 scope.spawn(move || {
-                let timed = h_score.is_enabled();
-                let mut scores = vec![0.0f64; n_items];
-                let mut local = vec![0.0f64; chunk_users.len() * row_width];
-                for (slot, &u) in chunk_users.iter().enumerate() {
-                    let t0 = timed.then(Instant::now);
-                    ranker.score_user(u, &mut scores);
-                    let t1 = timed.then(Instant::now);
-                    if let (Some(t0), Some(t1)) = (t0, t1) {
-                        h_score.record(t1.duration_since(t0).as_micros() as u64);
-                    }
-                    // Mask known positives from earlier splits.
-                    for &v in dataset.train.items_of(u) {
-                        scores[v] = f64::NEG_INFINITY;
-                    }
-                    if split == Split::Test {
-                        for &v in dataset.validation.items_of(u) {
-                            scores[v] = f64::NEG_INFINITY;
+                    let timed = h_score.is_enabled();
+                    let mut scores = vec![0.0f64; USER_BLOCK.min(chunk_users.len()) * n_items];
+                    let mut local = vec![0.0f64; chunk_users.len() * row_width];
+                    for (bi, block) in chunk_users.chunks(USER_BLOCK).enumerate() {
+                        let block_scores = &mut scores[..block.len() * n_items];
+                        let t0 = timed.then(Instant::now);
+                        ranker.score_users(block, block_scores);
+                        if let Some(t0) = t0 {
+                            let per_user = t0.elapsed().as_micros() as u64 / block.len() as u64;
+                            for _ in block {
+                                h_score.record(per_user);
+                            }
+                        }
+                        for (lane, &u) in block.iter().enumerate() {
+                            let t1 = timed.then(Instant::now);
+                            let scores = &mut block_scores[lane * n_items..(lane + 1) * n_items];
+                            // Mask known positives from earlier splits.
+                            for &v in dataset.train.items_of(u) {
+                                scores[v] = f64::NEG_INFINITY;
+                            }
+                            if split == Split::Test {
+                                for &v in dataset.validation.items_of(u) {
+                                    scores[v] = f64::NEG_INFINITY;
+                                }
+                            }
+                            let top = top_k_indices(scores, max_k);
+                            let truth = dataset.split(split).items_of(u);
+                            let slot = bi * USER_BLOCK + lane;
+                            let row = &mut local[slot * row_width..(slot + 1) * row_width];
+                            for (i, &k) in ks.iter().enumerate() {
+                                let list = &top[..k.min(top.len())];
+                                row[i] = recall_at_k(list, truth);
+                                row[ks.len() + i] = ndcg_at_k(list, truth);
+                            }
+                            row[2 * ks.len()] = recall_at_k(&top, truth);
+                            row[2 * ks.len() + 1] = ndcg_at_k(&top, truth);
+                            if let Some(t1) = t1 {
+                                h_metric.record(t1.elapsed().as_micros() as u64);
+                            }
+                            c_users.incr();
                         }
                     }
-                    let top = top_k_indices(&scores, max_k);
-                    let truth = dataset.split(split).items_of(u);
-                    let row = &mut local[slot * row_width..(slot + 1) * row_width];
-                    for (i, &k) in ks.iter().enumerate() {
-                        let list = &top[..k.min(top.len())];
-                        row[i] = recall_at_k(list, truth);
-                        row[ks.len() + i] = ndcg_at_k(list, truth);
-                    }
-                    row[2 * ks.len()] = recall_at_k(&top, truth);
-                    row[2 * ks.len() + 1] = ndcg_at_k(&top, truth);
-                    if let Some(t1) = t1 {
-                        h_metric.record(t1.elapsed().as_micros() as u64);
-                    }
-                    c_users.incr();
-                }
                     let mut rows = per_user_rows.lock().expect("rows poisoned");
                     let start = offset * row_width;
                     rows[start..start + local.len()].copy_from_slice(&local);

@@ -19,7 +19,7 @@
 //! signature. The `f64` instantiation performs bit-identical arithmetic to
 //! the pre-generic code.
 
-use logirec_linalg::{ops, Scalar};
+use logirec_linalg::{ops, Embedding, Scalar};
 
 use crate::MIN_NORM;
 
@@ -60,6 +60,76 @@ pub fn on_manifold<S: Scalar>(x: &[S], tol: f64) -> bool {
 /// ```
 pub fn distance<S: Scalar>(x: &[S], y: &[S]) -> S {
     ops::acosh_clamped(-inner(x, y))
+}
+
+/// Scores the users `ids` (rows of `users`) against every row of `items`,
+/// `B` users per pass over the item table:
+/// `out[i·n + v] = −distance(users.row(ids[i]), items.row(v))`, widened to
+/// `f64`, with `n = items.rows()`.
+///
+/// Each score is bit-identical to the per-pair [`distance`]: lane `b` forms
+/// `−x₀·y₀ + Σ_{j≥1} xⱼ·yⱼ` with the spatial sum under
+/// [`Scalar::dot_block`], which keeps [`Scalar::dot`]'s order per lane.
+/// Loading each item row once for the whole block is the point: the table
+/// is streamed `⌈ids / B⌉` times instead of once per user. `B = 1` is the
+/// single-user scan.
+pub fn neg_distance_block<S: Scalar, const B: usize>(
+    users: &Embedding<S>,
+    ids: &[usize],
+    items: &Embedding<S>,
+    out: &mut [f64],
+) {
+    let n = items.rows();
+    assert_eq!(users.dim(), items.dim(), "user and item rows must have one width");
+    assert_eq!(out.len(), ids.len() * n, "score buffer must be users × items");
+    if n == 0 {
+        return;
+    }
+    for (block, out) in ids.chunks(B).zip(out.chunks_mut(B * n)) {
+        score_block::<S, B>(users, block, items, out);
+    }
+}
+
+/// One block of [`neg_distance_block`]. Items go in tiles: a tile's inner
+/// products are formed first, then `acosh` runs over each user's
+/// contiguous stretch of the tile. A block of fewer than `B` users (a
+/// ragged tail) runs with the spare lanes zeroed and unwritten.
+fn score_block<S: Scalar, const B: usize>(
+    users: &Embedding<S>,
+    block: &[usize],
+    items: &Embedding<S>,
+    out: &mut [f64],
+) {
+    const TILE: usize = 32;
+    let n = items.rows();
+    let width = items.dim();
+    // Negated time coordinates, and the spatial coordinates transposed so
+    // one item coordinate meets every user's in adjacent lanes.
+    let mut neg_t = [S::ZERO; B];
+    let mut xt = vec![[S::ZERO; B]; width.saturating_sub(1)];
+    for (b, &u) in block.iter().enumerate() {
+        let x = users.row(u);
+        neg_t[b] = -x[0];
+        for (xj, &v) in xt.iter_mut().zip(&x[1..]) {
+            xj[b] = v;
+        }
+    }
+    let mut inner = [[S::ZERO; B]; TILE];
+    for (ti, tile) in items.as_slice().chunks(TILE * width).enumerate() {
+        for (lanes, y) in inner.iter_mut().zip(tile.chunks_exact(width)) {
+            let dots = S::dot_block(&xt, &y[1..]);
+            for ((s, &t), &d) in lanes.iter_mut().zip(&neg_t).zip(&dots) {
+                *s = t * y[0] + d;
+            }
+        }
+        let v0 = ti * TILE;
+        let m = tile.len() / width;
+        for (b, row) in out.chunks_exact_mut(n).enumerate() {
+            for (o, lanes) in row[v0..v0 + m].iter_mut().zip(&inner) {
+                *o = -ops::acosh_clamped(-lanes[b]).to_f64();
+            }
+        }
+    }
 }
 
 /// Distance to the origin: `acosh(x₀)` — the granularity score GR (Eq. 13).
@@ -429,6 +499,44 @@ mod tests {
 
         log_origin_vjp_into(&u, &g3, &mut buf4a);
         assert_eq!(log_origin_vjp(&u, &g3), buf4a);
+    }
+
+    fn block_matches_distance<S: Scalar, const B: usize>(n_users: usize) {
+        let point = |k: usize| -> Vec<S> {
+            let z: Vec<S> = (0..11)
+                .map(|j| S::from_f64((((k * 7 + j * 13) % 17) as f64 - 8.0) * 0.07))
+                .collect();
+            exp_origin(&z)
+        };
+        let table = |rows: usize, offset: usize| {
+            let mut t = Embedding::<S>::zeros(rows, 12);
+            for r in 0..rows {
+                t.row_mut(r).copy_from_slice(&point(offset + r));
+            }
+            t
+        };
+        // 40 items: one full 32-item tile and a partial one.
+        let (users, items) = (table(n_users, 0), table(40, 100));
+        let ids: Vec<usize> = (0..n_users).rev().collect();
+        let mut out = vec![0.0; n_users * 40];
+        neg_distance_block::<S, B>(&users, &ids, &items, &mut out);
+        for (i, &u) in ids.iter().enumerate() {
+            for v in 0..40 {
+                let want = -distance(users.row(u), items.row(v)).to_f64();
+                let got = out[i * 40 + v];
+                assert_eq!(got.to_bits(), want.to_bits(), "B={B} lane {i} (user {u}) item {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn neg_distance_block_is_bitwise_per_pair_distance() {
+        block_matches_distance::<f64, 1>(3);
+        block_matches_distance::<f64, 4>(4);
+        block_matches_distance::<f64, 4>(11);
+        block_matches_distance::<f32, 1>(2);
+        block_matches_distance::<f32, 8>(8);
+        block_matches_distance::<f32, 8>(13);
     }
 
     #[test]

@@ -86,6 +86,14 @@ pub trait Scalar:
     /// byte-compares against); `f32` sums in fixed-width chunks.
     fn dot(x: &[Self], y: &[Self]) -> Self;
 
+    /// `B` dot products against one shared `y` in a single pass over it:
+    /// `xt` holds the `B` left-hand vectors transposed (`xt[j][b]` is
+    /// element `j` of vector `b`), and lane `b` of the result equals
+    /// `Self::dot(x_b, y)` bit for bit — each lane accumulates in exactly
+    /// the order [`Scalar::dot`] uses, so blocking changes which loop is
+    /// outermost, never a rounding.
+    fn dot_block<const B: usize>(xt: &[[Self; B]], y: &[Self]) -> [Self; B];
+
     /// Squared-distance reduction `Σ (xᵢ−yᵢ)²`, same order contract as
     /// [`Scalar::dot`].
     fn dist_sq(x: &[Self], y: &[Self]) -> Self;
@@ -154,6 +162,19 @@ impl Scalar for f64 {
         // Historical sequential order — must stay bit-identical to the
         // pre-generic `ops::dot`.
         x.iter().zip(y).map(|(a, b)| a * b).sum()
+    }
+
+    #[inline]
+    fn dot_block<const B: usize>(xt: &[[Self; B]], y: &[Self]) -> [Self; B] {
+        // Each lane starts where `Iterator::sum` starts and adds strictly
+        // left to right, as `dot` does.
+        let mut acc = [core::iter::empty::<f64>().sum::<f64>(); B];
+        for (xj, &yj) in xt.iter().zip(y) {
+            for b in 0..B {
+                acc[b] += xj[b] * yj;
+            }
+        }
+        acc
     }
 
     #[inline]
@@ -243,6 +264,36 @@ impl Scalar for f32 {
     }
 
     #[inline]
+    fn dot_block<const B: usize>(xt: &[[Self; B]], y: &[Self]) -> [Self; B] {
+        // `dot`'s eight chunk lanes and sequential tail, kept per block lane.
+        let mut acc = [[0.0f32; B]; F32_LANES];
+        let mut xc = xt.chunks_exact(F32_LANES);
+        let mut yc = y.chunks_exact(F32_LANES);
+        for (xb, yb) in (&mut xc).zip(&mut yc) {
+            for l in 0..F32_LANES {
+                for b in 0..B {
+                    acc[l][b] += xb[l][b] * yb[l];
+                }
+            }
+        }
+        let mut tail = [0.0f32; B];
+        for (xj, &yj) in xc.remainder().iter().zip(yc.remainder()) {
+            for b in 0..B {
+                tail[b] += xj[b] * yj;
+            }
+        }
+        // `reduce_lanes` per block lane, written over whole lane rows so
+        // the reduction vectorizes across the block.
+        let mut out = [0.0f32; B];
+        for b in 0..B {
+            out[b] = ((acc[0][b] + acc[4][b]) + (acc[1][b] + acc[5][b]))
+                + ((acc[2][b] + acc[6][b]) + (acc[3][b] + acc[7][b]))
+                + tail[b];
+        }
+        out
+    }
+
+    #[inline]
     fn dist_sq(x: &[Self], y: &[Self]) -> Self {
         let mut acc = [0.0f32; F32_LANES];
         let mut xc = x.chunks_exact(F32_LANES);
@@ -317,6 +368,52 @@ mod tests {
             assert_eq!(<f32 as Scalar>::dot(&x, &x), expect, "len {len}");
             assert_eq!(<f32 as Scalar>::dist_sq(&x, &x), 0.0, "len {len}");
         }
+    }
+
+    /// `xs` transposed into the `dot_block` layout.
+    fn transpose<S: Scalar, const B: usize>(xs: &[Vec<S>]) -> Vec<[S; B]> {
+        (0..xs[0].len()).map(|j| core::array::from_fn(|b| xs[b][j])).collect()
+    }
+
+    fn dot_block_matches_dot<S: Scalar, const B: usize>() {
+        for len in 0..=19 {
+            let mut seed = 0x9e37_79b9_u64 ^ len as u64;
+            let mut next = || {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                S::from_f64(((seed >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0)
+            };
+            let xs: Vec<Vec<S>> = (0..B).map(|_| (0..len).map(|_| next()).collect()).collect();
+            let y: Vec<S> = (0..len).map(|_| next()).collect();
+            let got = S::dot_block::<B>(&transpose::<S, B>(&xs), &y);
+            for b in 0..B {
+                let want = S::dot(&xs[b], &y);
+                assert!(
+                    got[b].to_f64().to_bits() == want.to_f64().to_bits(),
+                    "B={B} len={len} lane {b}: {} vs {}",
+                    got[b],
+                    want
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dot_block_lanes_equal_dot_bitwise() {
+        dot_block_matches_dot::<f64, 1>();
+        dot_block_matches_dot::<f64, 3>();
+        dot_block_matches_dot::<f64, 8>();
+        dot_block_matches_dot::<f32, 1>();
+        dot_block_matches_dot::<f32, 5>();
+        dot_block_matches_dot::<f32, 8>();
+    }
+
+    #[test]
+    fn dot_block_keeps_the_sign_of_an_all_negative_zero_sum() {
+        // The one case the initial value is visible in: every product −0.
+        let y = [0.0f64, 0.0];
+        let xt = [[-0.0f64], [-0.0]];
+        let want = <f64 as Scalar>::dot(&[-0.0, -0.0], &y);
+        assert_eq!(<f64 as Scalar>::dot_block(&xt, &y)[0].to_bits(), want.to_bits());
     }
 
     #[test]

@@ -329,7 +329,8 @@ impl ClusterIndex {
                 if seen.binary_search(&v).is_ok() {
                     continue;
                 }
-                // The exact kernel, verbatim from `LogiRec::score_user`.
+                // The per-pair score `LogiRec::score_user`'s blocked
+                // kernel reproduces bit for bit.
                 let s = match self.geometry {
                     Geometry::Hyperbolic => {
                         -lorentz::distance(user_row, items.row(v)).to_f64()

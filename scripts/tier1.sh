@@ -179,6 +179,20 @@ case "$f32_out" in
   *NaN*|*nan*) echo "tier1: f32 smoke FAILED (NaN in metrics)"; exit 1 ;;
 esac
 
+# Evaluator thread-determinism smoke: each evaluate thread scores its users
+# in blocks, so the thread count changes where the blocks fall; the metric
+# line must not change with it, at either precision.
+for prec in f64 f32; do
+  eval_1=$(./target/release/logirec evaluate --data "$smoke/data" \
+    --model "$smoke/m.logirec" --precision "$prec" --threads 1)
+  eval_3=$(./target/release/logirec evaluate --data "$smoke/data" \
+    --model "$smoke/m.logirec" --precision "$prec" --threads 3)
+  echo "$eval_3"
+  [ "$eval_1" = "$eval_3" ] \
+    || { echo "tier1: evaluate thread-determinism smoke FAILED ($prec)"; \
+         echo "  1 thread:  $eval_1"; echo "  3 threads: $eval_3"; exit 1; }
+done
+
 # Perf-regression gate. The self-test (gate logic must flag a synthetic 2×
 # slowdown) is a hard gate; the live measurement against the committed
 # BENCH_<n>.json baseline is advisory here — shared CI machines are too

@@ -7,7 +7,8 @@ use std::path::PathBuf;
 
 use logirec_suite::core::faults::{Fault, FaultPlan};
 use logirec_suite::core::{train, LogiRecConfig};
-use logirec_suite::data::{Dataset, DatasetSpec, Scale};
+use logirec_suite::data::{Dataset, DatasetSpec, Scale, Split};
+use logirec_suite::eval::{evaluate_traced, USER_BLOCK};
 use logirec_suite::obs::{validate_trace_file, Telemetry};
 
 fn tmp(name: &str) -> PathBuf {
@@ -115,4 +116,25 @@ fn disabled_telemetry_stays_inert() {
     assert!(tel.span_aggs().is_empty());
     assert!(tel.recent_events().is_empty());
     assert_eq!(tel.summary(), "telemetry disabled\n");
+}
+
+/// `evaluate` scores users a block at a time, yet `eval.score_user_us`
+/// keeps one sample per evaluated user (the block's wall time over its
+/// length), as do `eval.rank_metric_us` and the `eval.users` counter.
+#[test]
+fn eval_histograms_get_one_sample_per_evaluated_user() {
+    let ds = dataset();
+    let (model, _) = train(LogiRecConfig { epochs: 1, ..LogiRecConfig::test_config() }, &ds);
+    let tel = Telemetry::enabled();
+    // 3 threads leave each thread a user run that is not a whole number of
+    // blocks, so ragged final blocks are counted too.
+    let res = evaluate_traced(&model, &ds, Split::Test, &[10, 20], 3, &tel);
+    let n = res.users.len() as u64;
+    assert!(n > USER_BLOCK as u64 && !n.is_multiple_of(USER_BLOCK as u64), "{n} users");
+    let snap = tel.metrics_snapshot();
+    let count = |name: &str| snap.histograms.iter().find(|(h, _)| *h == name).map(|(_, s)| s.count);
+    assert_eq!(count("eval.score_user_us"), Some(n));
+    assert_eq!(count("eval.rank_metric_us"), Some(n));
+    let users = snap.counters.iter().find(|(c, _)| *c == "eval.users").map(|(_, v)| *v);
+    assert_eq!(users, Some(n));
 }
